@@ -44,8 +44,11 @@ from .scan import (DEFAULT_DIM_CAP, OccurrenceTable, TheoremReport,
 
 SCHEMA = "symmpow-v1"
 
-_OPTION_KEYS = {"m_max", "k_max", "seed", "cap_group", "cap_dim", "molien",
-                "jobs"}
+# integer options and their least allowed value; jobs is accepted and
+# ignored (scans run in one thread)
+_INT_OPTIONS = {"m_max": 1, "k_max": 0, "seed": 0, "cap_group": 1,
+                "cap_dim": 1, "jobs": 1}
+_OPTION_KEYS = set(_INT_OPTIONS) | {"molien"}
 
 
 @dataclass
@@ -146,6 +149,18 @@ def parse_problem(obj) -> ProblemDoc:
         _fail(f"unknown options: {sorted(unknown)}")
     return ProblemDoc(field=field, generators=generators, modules=modules,
                       options=dict(options))
+
+
+def check_options(options: dict):
+    """Types and ranges of the options, once CLI flags are merged in."""
+    for key, low in _INT_OPTIONS.items():
+        val = options.get(key, low)
+        if not isinstance(val, int) or isinstance(val, bool):
+            _fail(f'option "{key}" must be an integer')
+        if val < low:
+            _fail(f'option "{key}" must be at least {low}')
+    if options.get("molien", "auto") not in ("auto", "on", "off"):
+        _fail('option "molien" must be "auto", "on" or "off"')
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +315,6 @@ def cmd_scan(doc: ProblemDoc):
     v = defining_rep(group)
     m_max = doc.options.get("m_max", group.order)
     cap_dim = doc.options.get("cap_dim", DEFAULT_DIM_CAP)
-    jobs = doc.options.get("jobs", 1)
     molien_mode = doc.options.get("molien", "auto")
     coprime = group.order % doc.field.p != 0
     if molien_mode == "on" and not coprime:
@@ -311,7 +325,7 @@ def cmd_scan(doc: ProblemDoc):
     all_ok = True
     for label, rep in _module_reps(doc, group):
         table = occurrence_scan(v, rep, m_max=m_max, cap_dim=cap_dim,
-                                jobs=jobs, label=label)
+                                label=label)
         if use_molien:
             mt = molien_table(v, rep, m_max)
             table.molien_multiplicities = mt[1:]
@@ -351,7 +365,6 @@ def cmd_construct(doc: ProblemDoc):
         m_max=doc.options.get("m_max"),
         cap_dim=doc.options.get("cap_dim", DEFAULT_DIM_CAP),
         molien=doc.options.get("molien", "auto"),
-        jobs=doc.options.get("jobs", 1),
     )
     modules = []
     all_ok = True
@@ -479,6 +492,7 @@ def main(argv=None) -> int:
             val = getattr(args, key, None)
             if val is not None:
                 doc.options[key] = val
+        check_options(doc.options)
         report, code = args.fn(doc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,31 +40,10 @@ from .groups import GroupData, center_scalars, coset_transversal
 from .homs import hom_space
 from .linalg import Mat, mat_mul, mat_vec, rank, transpose
 from .reps import (Rep, defining_rep, extend_scalars, induced_from_center,
-                   monomial_basis, poly_from_vector, poly_mul, poly_one,
-                   poly_pow, restrict_scalar_character, sym_power, PolyVec)
+                   poly_from_vector, poly_mul, poly_one, poly_pow,
+                   restrict_scalar_character, sym_power, PolyVec)
 
 _MAX_EXTENSION_SWEEP = 64
-
-_generic_cache: dict = {}
-_sym_cache: dict = {}
-
-
-def _field_key(field: FieldSpec):
-    return (field.p, field.f, field.modulus)
-
-
-def _cached_sym_images(group: GroupData, rep: Rep, degree: int):
-    key = (group, _field_key(rep.field), degree)
-    images = _sym_cache.get(key)
-    if images is None:
-        images = sym_power(rep, degree).images
-        _sym_cache[key] = images
-    return images
-
-
-def clear_caches():
-    _generic_cache.clear()
-    _sym_cache.clear()
 
 
 def _embedded_images(group: GroupData, ext: FieldSpec, table, indices):
@@ -90,16 +69,15 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
     """First vector (coordinate-lex sweep) whose line no non-central
     element fixes, extending scalars until one exists.
 
-    Returns (v, field).  Termination: once q^e exceeds |G| the union of
-    the eigenspaces cannot cover the whole space.
+    Returns (v, field) and caches it on the group.  Termination: once q^e
+    exceeds |G| the union of the eigenspaces cannot cover the whole space.
     """
     if group.z_indices is None:
         center_scalars(group)
     if group.center_order == group.order:
         raise ValueError("group acts by scalars; every vector is fixed")
-    cached = _generic_cache.get(group)
-    if cached is not None:
-        return cached
+    if group.generic is not None:
+        return group.generic
     base = group.field
     n = group.dim
     z_set = set(group.z_indices)
@@ -114,9 +92,8 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
             if not any(v):
                 continue
             if is_generic_vector(group, images, list(v)):
-                result = (tuple(v), ext)
-                _generic_cache[group] = result
-                return result
+                group.generic = (tuple(v), ext)
+                return group.generic
     raise AssertionError("no generic vector within the extension sweep")
 
 
@@ -281,16 +258,18 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
     span_matrix = Mat._new(field, [p.coeffs for p in span_polys])
     _require(flags, "span_dimension", rank(span_matrix) == n_span)
 
-    sym_images = _cached_sym_images(group, v_rep, total_degree)
-    dim_sym = len(monomial_basis(group.dim, total_degree))
+    # every check below runs on generator images: a subspace stable under
+    # the generators is stable under the group, and a map intertwining the
+    # generators is a module homomorphism
+    sym_rep = sym_power(v_rep, total_degree)
 
     lead = [next(i for i, c in enumerate(p.coeffs) if c) for p in span_polys]
-    span_images = []
+    span_gens = []
     perm_ok = True
-    for g in range(order):
+    for g, sym_g in zip(group.generator_indices, sym_rep.gens):
         img_rows = [[0] * n_span for _ in range(n_span)]
         for c in range(n_span):
-            y = mat_vec(sym_images[g], span_polys[c].coeffs)
+            y = mat_vec(sym_g, span_polys[c].coeffs)
             c2 = group.coset_of[group.prod(g, group.transversal[c])]
             pc2 = span_polys[c2].coeffs
             ratio = field.mul(y[lead[c2]], field.inv(pc2[lead[c2]]))
@@ -300,9 +279,10 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
             img_rows[c2][c] = ratio
         if not perm_ok:
             break
-        span_images.append(Mat._new(field, img_rows))
+        span_gens.append(Mat._new(field, img_rows))
     _require(flags, "coset_permutation", perm_ok)
-    span_rep = Rep(group, field, n_span, span_images, embed=v_rep.embed)
+    span_rep = Rep(group, field, n_span, span_gens, embed=v_rep.embed)
+    span_images = span_rep.images
 
     lam_ext = v_rep.embed[group.lam]
     z_img = span_images[group.z_generator_index]
@@ -315,28 +295,27 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
     phi = Mat._new(field, [[span_images[group.transversal[c]].rows[u][0]
                             for c in range(n_span)] for u in range(n_span)])
     iso_ok = rank(phi) == n_span and all(
-        mat_mul(span_images[g], phi) == mat_mul(phi, induced.images[g])
-        for g in range(order))
+        mat_mul(a, phi) == mat_mul(phi, b)
+        for a, b in zip(span_rep.gens, induced.gens))
     _require(flags, "induced_isomorphism", iso_ok)
 
     hs_in = hom_space(w_ext, span_rep)
     hs_out = hom_space(span_rep, w_ext)
     _require(flags, "module_occurs_in_span", hs_in.dim > 0 and hs_out.dim > 0)
 
-    sym_rep = Rep(group, field, dim_sym, sym_images, embed=v_rep.embed)
     span_cols = transpose(span_matrix)
     embedding = mat_mul(span_cols, hs_in.basis[0])
     emb_ok = rank(embedding) == w_ext.dim and all(
-        mat_mul(sym_images[s], embedding) == mat_mul(embedding, w_ext.images[s])
-        for s in group.generator_indices)
+        mat_mul(a, embedding) == mat_mul(embedding, b)
+        for a, b in zip(sym_rep.gens, w_ext.gens))
     _require(flags, "embedding_witness", emb_ok)
 
     hs_quot = hom_space(sym_rep, w_ext)
     _require(flags, "quotient_exists", hs_quot.dim > 0)
     quotient = hs_quot.basis[0]
     quot_ok = rank(quotient) == w_ext.dim and all(
-        mat_mul(w_ext.images[s], quotient) == mat_mul(quotient, sym_images[s])
-        for s in group.generator_indices)
+        mat_mul(b, quotient) == mat_mul(quotient, a)
+        for a, b in zip(sym_rep.gens, w_ext.gens))
     _require(flags, "quotient_witness", quot_ok)
 
     return Certificate(

@@ -27,12 +27,13 @@ class GroupData:
 
     Populated by :func:`center_scalars`: z_indices, z_generator_index, lam.
     Populated by :func:`coset_transversal`: transversal, coset_of.
+    Populated by :func:`symmpow.construct.find_generic_vector`: generic.
     """
 
     __slots__ = ("field", "dim", "generators", "generator_indices",
                  "elements", "index", "words", "edges", "inverse",
                  "z_indices", "z_generator_index", "lam",
-                 "transversal", "coset_of")
+                 "transversal", "coset_of", "generic")
 
     def __init__(self, field, dim, generators, generator_indices,
                  elements, index, words, edges, inverse):
@@ -50,6 +51,7 @@ class GroupData:
         self.lam = None
         self.transversal = None
         self.coset_of = None
+        self.generic = None
 
     @property
     def order(self) -> int:

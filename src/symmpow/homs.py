@@ -36,8 +36,7 @@ class HomSpace:
 def hom_basis_from_pairs(field, pairs, nu: int, nv: int):
     """Solve X a = b X for all (a, b) in pairs; X is nv x nu, row-major.
 
-    Core shared by hom_space and the scan loops (which feed symmetric-power
-    generator images directly without materializing a full Rep).
+    The solver behind hom_space.
     """
     nvars = nu * nv
     add, sub = field.add, field.sub
@@ -71,9 +70,8 @@ def hom_space(u: Rep, v: Rep) -> HomSpace:
         raise ValueError("representations must share a group")
     if u.field != v.field:
         raise ValueError("representations must share a field")
-    pairs = [(u.images[s], v.images[s])
-             for s in u.group.generator_indices]
-    basis = hom_basis_from_pairs(u.field, pairs, u.dim, v.dim)
+    basis = hom_basis_from_pairs(u.field, list(zip(u.gens, v.gens)),
+                                 u.dim, v.dim)
     return HomSpace(u.dim, v.dim, basis)
 
 

@@ -71,10 +71,6 @@ class SplitResult:
         return self.verdict == "irreducible"
 
 
-def _gen_images(r: Rep):
-    return [r.images[s] for s in r.group.generator_indices]
-
-
 def _spin(vec, gens, field, dim):
     """Breadth-first closure of a vector under the given matrices.
 
@@ -119,7 +115,7 @@ def spin_up(v0, r: Rep) -> Mat:
     """Smallest stable subspace containing v0, as echelon basis rows."""
     if not any(v0):
         raise ValueError("cannot spin the zero vector")
-    return _spin(v0, _gen_images(r), r.field, r.dim)
+    return _spin(v0, r.gens, r.field, r.dim)
 
 
 def _random_theta(rng: Lcg, r: Rep, gens):
@@ -190,7 +186,7 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
         return SplitResult("irreducible", draws=0,
                            certificate={"reason": "dimension 1"})
     rng = Lcg(seed)
-    gens = _gen_images(r)
+    gens = r.gens
     field = r.field
     dual_gens = None
     for draw in range(1, budget + 1):
@@ -213,7 +209,7 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
         if proper is not None:
             return _split_from_rows(r, proper, draw, cert)
         if dual_gens is None:
-            dual_gens = _gen_images(dual_rep(r))
+            dual_gens = dual_rep(r).gens
         dual_kernel = null_space(transpose(theta))
         w0 = dual_kernel[0]
         cert["dual_vector"] = w0
@@ -236,8 +232,8 @@ def _restrict(r: Rep, rows_mat: Mat) -> Rep:
     s = rows_mat.nrows
     _, _, pivots = rref(rows_mat)
     sub, mul = field.sub, field.mul
-    images = []
-    for m in r.images:
+    gens = []
+    for m in r.gens:
         cols = []
         for b in rows:
             y = mat_vec(m, b)
@@ -251,9 +247,9 @@ def _restrict(r: Rep, rows_mat: Mat) -> Rep:
             if any(y):
                 raise ValueError("subspace is not stable under the action")
             cols.append(coords)
-        images.append(Mat._new(field, [[cols[t][u] for t in range(s)]
-                                       for u in range(s)]))
-    return Rep(r.group, field, s, images, embed=r.embed)
+        gens.append(Mat._new(field, [[cols[t][u] for t in range(s)]
+                                     for u in range(s)]))
+    return Rep(r.group, field, s, gens, embed=r.embed)
 
 
 def _quotient(r: Rep, rows_mat: Mat) -> Rep:
@@ -264,8 +260,8 @@ def _quotient(r: Rep, rows_mat: Mat) -> Rep:
     free = [j for j in range(r.dim) if j not in pivot_set]
     rows = rows_mat.rows
     sub, mul = field.sub, field.mul
-    images = []
-    for m in r.images:
+    gens = []
+    for m in r.gens:
         cols = []
         for j in free:
             y = [m.rows[i][j] for i in range(r.dim)]
@@ -276,9 +272,9 @@ def _quotient(r: Rep, rows_mat: Mat) -> Rep:
                     y = [sub(a, mul(c, x)) for a, x in zip(y, row)]
             cols.append([y[qc] for qc in free])
         k = len(free)
-        images.append(Mat._new(field, [[cols[t][u] for t in range(k)]
-                                       for u in range(k)]))
-    return Rep(r.group, field, len(free), images, embed=r.embed)
+        gens.append(Mat._new(field, [[cols[t][u] for t in range(k)]
+                                     for u in range(k)]))
+    return Rep(r.group, field, len(free), gens, embed=r.embed)
 
 
 def simple_submodule(r: Rep, seed: int = 0) -> Rep:

@@ -2,9 +2,11 @@
 
 Conventions that every downstream module relies on:
 
-* A ``Rep`` stores one image matrix per group element, indexed by the
-  group's element indices.  Images act on coordinate column vectors from
-  the left.
+* A ``Rep`` stores one image matrix per generator, in the order of
+  ``group.generators``.  The per-element images, indexed by the group's
+  element indices, are replayed from the generator images through the
+  group's edge table on first access, and every edge is checked.  Images
+  act on coordinate column vectors from the left.
 * Degree-m monomials in n variables are ordered by decreasing
   lexicographic order on exponent vectors (for n = 2, m = 2 that is
   x1^2, x1 x2, x2^2).  A degree-m polynomial is the coefficient vector
@@ -25,7 +27,7 @@ from math import comb
 from .errors import NotARepresentation
 from .fields import FieldSpec, discrete_log, extend_field
 from .groups import GroupData
-from .linalg import Mat, identity, mat_vec, transpose
+from .linalg import Mat, identity, mat_inv, mat_mul, transpose
 
 
 class MonomialBasis:
@@ -144,7 +146,16 @@ def poly_scale(c: int, a: PolyVec) -> PolyVec:
 
 
 class Rep:
-    """Matrix representation of an enumerated group.
+    """Matrix representation of an enumerated group, given by generator
+    images.
+
+    ``gens[k]`` is the image of ``group.generators[k]``.  ``images`` holds
+    one image per group element; it is built on first access by replaying
+    ``group.edges`` from the identity, and every edge is checked, so two
+    words reaching the same element must give equal matrices.  A mismatch
+    raises NotARepresentation.  Generators determine the whole action, so
+    stability and intertwining checks run on ``gens``; ``images`` is for
+    the arguments that are per-element by nature.
 
     ``field`` may be an extension of the group's field; ``embed`` is the
     lookup table carrying group-field element codes into ``field`` (the
@@ -152,17 +163,36 @@ class Rep:
     group stays usable after extension of scalars.
     """
 
-    __slots__ = ("group", "field", "dim", "images", "embed")
+    __slots__ = ("group", "field", "dim", "gens", "embed", "_images")
 
     def __init__(self, group: GroupData, field: FieldSpec, dim: int,
-                 images, embed=None):
-        if len(images) != len(group.elements):
-            raise ValueError("need one image per group element")
+                 gens, embed=None):
+        if len(gens) != len(group.generators):
+            raise ValueError("need one image per generator")
         self.group = group
         self.field = field
         self.dim = dim
-        self.images = list(images)
+        self.gens = list(gens)
         self.embed = tuple(embed) if embed is not None else tuple(range(group.field.q))
+        self._images = None
+
+    @property
+    def images(self):
+        if self._images is None:
+            images = [None] * len(self.group.elements)
+            images[0] = identity(self.field, self.dim)
+            for i, row in enumerate(self.group.edges):
+                src = images[i]
+                for k, j in enumerate(row):
+                    prod = mat_mul(src, self.gens[k])
+                    if images[j] is None:
+                        images[j] = prod
+                    elif images[j] != prod:
+                        raise NotARepresentation(
+                            "generator images are inconsistent: two words "
+                            f"for group element {j} yield different matrices")
+            self._images = images
+        return self._images
 
     def __repr__(self):
         return (f"Rep(dim={self.dim}, field={self.field!r}, "
@@ -171,16 +201,16 @@ class Rep:
 
 def defining_rep(group: GroupData) -> Rep:
     """The representation whose images are the group elements themselves."""
-    return Rep(group, group.field, group.dim, list(group.elements))
+    return Rep(group, group.field, group.dim, group.generators)
 
 
 def paired_rep(group: GroupData, gen_images) -> Rep:
-    """Extend images of the generators to the whole group.
+    """The representation with the given generator images, certified.
 
-    The breadth-first closure is replayed through the group's edge table;
-    every edge is checked, so two words reaching the same group element
-    must produce equal images.  Any mismatch raises NotARepresentation,
-    which certifies the homomorphism property on success.
+    Shapes and fields are validated, then the per-element images are
+    replayed (see ``Rep.images``), which checks every edge of the group's
+    edge table.  Success certifies the homomorphism property; a mismatch
+    raises NotARepresentation.
     """
     gen_images = list(gen_images)
     if len(gen_images) != len(group.generators):
@@ -192,22 +222,9 @@ def paired_rep(group: GroupData, gen_images) -> Rep:
             raise ValueError("generator images must be square of equal size")
         if m.field != field:
             raise ValueError("generator images must live over the group field")
-
-    from .linalg import mat_mul  # local import keeps module edges acyclic
-
-    images = [None] * len(group.elements)
-    images[0] = identity(field, dim)
-    for i, row in enumerate(group.edges):
-        src = images[i]
-        for k, j in enumerate(row):
-            prod = mat_mul(src, gen_images[k])
-            if images[j] is None:
-                images[j] = prod
-            elif images[j] != prod:
-                raise NotARepresentation(
-                    "generator images are inconsistent: two words for group "
-                    f"element {j} yield different matrices")
-    return Rep(group, field, dim, images)
+    rep = Rep(group, field, dim, gen_images)
+    rep.images  # the replay checks every edge
+    return rep
 
 
 def _linear_forms(m: Mat):
@@ -249,14 +266,14 @@ def _sym_image(m: Mat, basis: MonomialBasis) -> Mat:
 def sym_power(v: Rep, m: int) -> Rep:
     """Action on degree-m polynomials in dim(V) variables.
 
-    Each image column is the expanded product of transformed variables for
-    the corresponding basis monomial, computed per group element.
+    Each generator image column is the expanded product of transformed
+    variables for the corresponding basis monomial.
     """
     if m < 0:
         raise ValueError("negative symmetric power")
     basis = monomial_basis(v.dim, m)
-    images = [_sym_image(g, basis) for g in v.images]
-    return Rep(v.group, v.field, len(basis), images, embed=v.embed)
+    gens = [_sym_image(g, basis) for g in v.gens]
+    return Rep(v.group, v.field, len(basis), gens, embed=v.embed)
 
 
 def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
@@ -302,11 +319,10 @@ def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
 
 
 def dual_rep(r: Rep) -> Rep:
-    """Contragredient action: g maps to the transpose of the image of its
-    inverse."""
-    inverse = r.group.inverse
-    images = [transpose(r.images[inverse[g]]) for g in range(len(r.images))]
-    return Rep(r.group, r.field, r.dim, images, embed=r.embed)
+    """Contragredient action: g maps to the transpose of the inverse of its
+    image."""
+    gens = [transpose(mat_inv(g)) for g in r.gens]
+    return Rep(r.group, r.field, r.dim, gens, embed=r.embed)
 
 
 def extend_scalars(r: Rep, e: int) -> Rep:
@@ -314,10 +330,10 @@ def extend_scalars(r: Rep, e: int) -> Rep:
     if e == 1:
         return r
     ext, table = extend_field(r.field, e)
-    images = [Mat._new(ext, [[table[x] for x in row] for row in m.rows])
-              for m in r.images]
+    gens = [Mat._new(ext, [[table[x] for x in row] for row in m.rows])
+            for m in r.gens]
     embed = tuple(table[x] for x in r.embed)
-    return Rep(r.group, ext, r.dim, images, embed=embed)
+    return Rep(r.group, ext, r.dim, gens, embed=embed)
 
 
 def restrict_scalar_character(w: Rep):
@@ -359,8 +375,8 @@ def induced_from_center(group: GroupData, t: int, field: FieldSpec = None,
         embed = tuple(range(group.field.q))
     embed = tuple(embed)
     n = len(group.transversal)
-    images = []
-    for g in range(len(group.elements)):
+    gens = []
+    for g in group.generator_indices:
         rows = [[0] * n for _ in range(n)]
         for c, h in enumerate(group.transversal):
             gh = group.prod(g, h)
@@ -368,8 +384,8 @@ def induced_from_center(group: GroupData, t: int, field: FieldSpec = None,
             z = group.prod(group.inverse[group.transversal[c2]], gh)
             scalar = group.elements[z].rows[0][0]
             rows[c2][c] = field.pow(embed[scalar], t)
-        images.append(Mat._new(field, rows))
-    return Rep(group, field, n, images, embed=embed)
+        gens.append(Mat._new(field, rows))
+    return Rep(group, field, n, gens, embed=embed)
 
 
 def hom_defect_count(r: Rep) -> int:
@@ -377,7 +393,6 @@ def hom_defect_count(r: Rep) -> int:
 
     Exhaustive; intended for tests at desk scale.
     """
-    from .linalg import mat_mul
     group = r.group
     bad = 0
     for a in range(len(group.elements)):

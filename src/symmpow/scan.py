@@ -19,7 +19,6 @@ degrees divisible by the characteristic are handled exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm
@@ -27,10 +26,10 @@ from math import comb, lcm
 from .construct import Certificate, assemble, verify_periodicity
 from .errors import CapExceeded, TheoremViolation
 from .fields import extend_field, mult_order
-from .homs import hom_basis_from_pairs
+from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
-from .reps import Rep, _sym_image, extend_scalars, monomial_basis
+from .reps import Rep, extend_scalars, sym_power
 
 DEFAULT_DIM_CAP = 5000
 
@@ -47,23 +46,13 @@ class OccurrenceTable:
     molien_multiplicities: list | None = None
 
 
-def _sym_gen_images(v: Rep, m: int):
-    basis = monomial_basis(v.dim, m)
-    return [_sym_image(v.images[s], basis) for s in v.group.generator_indices], len(basis)
-
-
 def _scan_one(v: Rep, w: Rep, m: int):
-    sym_gens, dim_sym = _sym_gen_images(v, m)
-    w_gens = [w.images[s] for s in w.group.generator_indices]
-    sub = len(hom_basis_from_pairs(v.field, list(zip(w_gens, sym_gens)),
-                                   w.dim, dim_sym))
-    quot = len(hom_basis_from_pairs(v.field, list(zip(sym_gens, w_gens)),
-                                    dim_sym, w.dim))
-    return m, sub, quot
+    sym = sym_power(v, m)
+    return m, hom_space(w, sym).dim, hom_space(sym, w).dim
 
 
 def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
-                    cap_dim: int = DEFAULT_DIM_CAP, jobs: int = 1,
+                    cap_dim: int = DEFAULT_DIM_CAP,
                     label: str = "") -> OccurrenceTable:
     """Hom dimensions in both directions for every degree up to m_max."""
     if v.group is not w.group:
@@ -78,12 +67,7 @@ def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
     top = comb(v.dim + m_max - 1, m_max)
     if top > cap_dim:
         raise CapExceeded(f"dim Sym^{m_max} = {top} exceeds the cap {cap_dim}")
-    ms = list(range(1, m_max + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda m: _scan_one(v, w, m), ms))
-    else:
-        rows = [_scan_one(v, w, m) for m in ms]
+    rows = [_scan_one(v, w, m) for m in range(1, m_max + 1)]
     minimal_sub = next((m for m, s, _ in rows if s > 0), None)
     minimal_quot = next((m for m, _, qd in rows if qd > 0), None)
     return OccurrenceTable(label=label, rows=rows,
@@ -176,8 +160,6 @@ class _MolienContext:
         self.exps_v = [self._eigen_exponents(self._push(v.images[g]),
                                              orders[g])
                        for g in range(group.order)]
-        self._h_rows: list | None = None
-        self._h_max = -1
 
     def _push(self, m: Mat) -> Mat:
         if self.ext is self.base:
@@ -225,10 +207,7 @@ class _MolienContext:
 
     def h_rows(self, m_max: int):
         """Per element, complete homogeneous sums of its eigenvalue lifts."""
-        if self._h_rows is None or self._h_max < m_max:
-            self._h_rows = [self._h_list(exps, m_max) for exps in self.exps_v]
-            self._h_max = m_max
-        return self._h_rows
+        return [self._h_list(exps, m_max) for exps in self.exps_v]
 
     def char_row(self, w: Rep):
         """Lifted trace of w at each inverse element."""
@@ -245,24 +224,13 @@ class _MolienContext:
         return out
 
 
-_molien_contexts: dict = {}
-
-
-def _context_for(v: Rep) -> _MolienContext:
-    ctx = _molien_contexts.get(v)
-    if ctx is None:
-        ctx = _MolienContext(v)
-        _molien_contexts[v] = ctx
-    return ctx
-
-
 def molien_table(v: Rep, w: Rep, m_max: int):
     """Multiplicities of w in Sym^m(v) for m = 0..m_max, exact integers."""
     if v.group is not w.group:
         raise ValueError("modules must share a group")
     if v.field != w.field:
         raise ValueError("modules must share a field")
-    ctx = _context_for(v)
+    ctx = _MolienContext(v)
     L = ctx.L
     order = v.group.order
     hs = ctx.h_rows(m_max)
@@ -302,7 +270,6 @@ class VerifyOptions:
     m_max: int | None = None
     cap_dim: int = DEFAULT_DIM_CAP
     molien: str = "auto"       # auto | on | off
-    jobs: int = 1
 
 
 @dataclass
@@ -322,28 +289,16 @@ class TheoremReport:
     ok: bool
 
 
-def _base_descent(v: Rep, w: Rep, m: int, direction: str) -> bool:
-    sym_gens, dim_sym = _sym_gen_images(v, m)
-    w_gens = [w.images[s] for s in w.group.generator_indices]
-    if direction == "sub":
-        basis = hom_basis_from_pairs(v.field, list(zip(w_gens, sym_gens)),
-                                     w.dim, dim_sym)
-    else:
-        basis = hom_basis_from_pairs(v.field, list(zip(sym_gens, w_gens)),
-                                     dim_sym, w.dim)
-    return len(basis) > 0
-
-
 def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
                    label: str = "") -> TheoremReport:
     """Run the whole argument for one module and check every step.
 
-    Certifies irreducibility, extends scalars to a splitting field, builds
-    constructive certificates from a simple quotient (for the submodule
-    claim) and a simple submodule (for the quotient claim), descends both
-    occurrences to the base field, cross-checks against the brute scan,
-    optionally against the character oracle, and reruns the construction
-    at shifted degrees.
+    Certifies irreducibility, scans to m_max, extends scalars to a
+    splitting field, builds constructive certificates from a simple
+    quotient (for the submodule claim) and a simple submodule (for the
+    quotient claim), descends both occurrences to the base field,
+    cross-checks against the scan, optionally against the character
+    oracle, and reruns the construction at shifted degrees.
     """
     opts = options or VerifyOptions()
     group = v.group
@@ -351,6 +306,10 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     if not res.irreducible:
         raise ValueError("input module is reducible; only irreducible "
                          "modules have guaranteed occurrences")
+
+    m_max = opts.m_max if opts.m_max is not None else group.order
+    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim,
+                            label=label)
 
     e, piece = splitting_extension(w, opts.seed)
     if e == 1:
@@ -364,21 +323,22 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     cert_sub = assemble(w0_sub, 0)
     cert_quot = cert_sub if w0_quot is w0_sub else assemble(w0_quot, 0)
 
-    base_sub_ok = _base_descent(v, w, cert_sub.degree, "sub")
-    base_quot_ok = _base_descent(v, w, cert_quot.degree, "quot")
+    # base-field occurrence at the certified degrees: read off the scan,
+    # solved once more only when the certificate lies beyond it
+    def row_at(m):
+        return table.rows[m - 1] if m <= m_max else _scan_one(v, w, m)
 
-    m_max = opts.m_max if opts.m_max is not None else group.order
-    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim,
-                            jobs=opts.jobs, label=label)
+    row_sub = row_at(cert_sub.degree)
+    row_quot = (row_sub if cert_quot.degree == cert_sub.degree
+                else row_at(cert_quot.degree))
+    base_sub_ok = row_sub[1] > 0
+    base_quot_ok = row_quot[2] > 0
 
-    scan_ok = (table.minimal_sub_m is not None
-               and table.minimal_quot_m is not None
-               and table.minimal_sub_m <= cert_sub.degree <= group.order
-               and table.minimal_quot_m <= cert_quot.degree <= group.order)
-    if scan_ok and cert_sub.degree <= m_max:
-        scan_ok = table.rows[cert_sub.degree - 1][1] > 0
-    if scan_ok and cert_quot.degree <= m_max:
-        scan_ok = scan_ok and table.rows[cert_quot.degree - 1][2] > 0
+    # the scan must see each occurrence at its certified degree whenever
+    # it got that far, which also puts its minimal degree at or below the
+    # certified one; degrees beyond the scan are not compared
+    scan_ok = ((cert_sub.degree > m_max or base_sub_ok)
+               and (cert_quot.degree > m_max or base_quot_ok))
 
     molien_ok: bool | None = None
     if opts.molien == "on" or (opts.molien == "auto"

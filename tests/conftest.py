@@ -98,6 +98,13 @@ def build_case(case: SuiteCase):
     return group, v, mods
 
 
+@pytest.fixture
+def fresh_case():
+    """Builds a suite case by name from scratch, sharing no group with the
+    session fixtures."""
+    return lambda name: build_case(SUITES_BY_NAME[name])
+
+
 @pytest.fixture(scope="session")
 def s3():
     return build_case(SUITES_BY_NAME["s3_gf7"])

@@ -93,12 +93,22 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         {"schema": "symmpow-v1", "field": {"p": 7}, "generators": [[[1]]],
          "options": {"bogus": 1}},
     ]
+    bad_options = [{"m_max": "5"}, {"m_max": -3}, {"m_max": None},
+                   {"m_max": 0}, {"k_max": -1}, {"seed": 1.5},
+                   {"seed": -1}, {"cap_group": True}, {"cap_dim": 0},
+                   {"jobs": 0}, {"jobs": "2"}, {"molien": "maybe"}]
+    cases += [dict(S3_DOC, options=opts) for opts in bad_options]
     for i, doc in enumerate(cases):
         path = write_doc(tmp_path, doc, f"bad{i}.json")
         assert run(["check", "--input", path]) == 2, doc
+    # flags are validated after they are merged into the options
+    good = write_doc(tmp_path, S3_DOC, "good.json")
+    assert run(["scan", "--input", good, "--m-max", "-3"]) == 2
+    assert run(["scan", "--input", good, "--jobs", "0"]) == 2
     assert run(["check", "--input", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_reducible_module_exits_1(tmp_path, capsys):
@@ -165,6 +175,25 @@ def test_cli_flags_override_document_options(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["m_max"] == 3
     assert all(len(m["rows"]) == 3 for m in report["modules"])
+    # jobs is accepted and ignored: the report does not change
+    again = tmp_path / "j.json"
+    assert run(["scan", "--input", doc, "--m-max", "3", "--jobs", "2",
+                "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+    capsys.readouterr()
+
+
+def test_construct_scan_shallower_than_certificate(tmp_path, capsys):
+    # the certified degree 5 lies beyond the scan; that is not a bug
+    out = tmp_path / "r.json"
+    assert run(["construct", "--m-max", "1", "--input",
+                str(PROBLEMS / "s3_gf7.json"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for m in report["modules"]:
+        r = m["report"]
+        assert r["scan_consistent"] and r["ok"]
+        assert r["base_submodule_ok"] and r["base_quotient_ok"]
+        assert len(r["scan"]["rows"]) == 1
     capsys.readouterr()
 
 

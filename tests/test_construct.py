@@ -4,10 +4,9 @@ occurrence certificates."""
 import pytest
 
 import symmpow as sp
+import symmpow.construct as construct
 from symmpow.construct import (build_coset_products, check_independence,
-                               clear_caches, find_generic_vector,
-                               is_generic_vector)
-from symmpow.linalg import mat_vec
+                               find_generic_vector, is_generic_vector)
 
 ALL_FLAGS = (
     "coset_powers_independent",
@@ -157,12 +156,26 @@ def test_periodicity_schedule(s3):
     assert sp.verify_periodicity(mods["sign"], cert, 2) == [True, True]
 
 
-def test_assemble_is_deterministic(sl23):
-    _, _, mods = sl23
-    clear_caches()
-    a = sp.assemble(mods["defining"], k=0)
-    b = sp.assemble(mods["defining"], k=0)
+def test_assemble_is_deterministic(fresh_case):
+    # two freshly built groups share no state, so equal results cannot
+    # come from anything cached on the first
+    a = sp.assemble(fresh_case("sl2_3_gf3")[2]["defining"], k=0)
+    b = sp.assemble(fresh_case("sl2_3_gf3")[2]["defining"], k=0)
     assert a.generic_vector == b.generic_vector
     assert a.degree == b.degree == 23
     assert a.span_polys == b.span_polys
     assert a.embedding_witness == b.embedding_witness
+
+
+def test_assemble_rejects_mislabelled_coset_products(s3, monkeypatch):
+    _, _, mods = s3
+    real = construct.build_coset_products
+
+    def swapped(v, group, v_rep):
+        out = real(v, group, v_rep)
+        out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(construct, "build_coset_products", swapped)
+    with pytest.raises(sp.TheoremViolation, match="coset_permutation"):
+        sp.assemble(mods["sign"], k=0)

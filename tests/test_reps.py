@@ -6,8 +6,9 @@ from math import comb
 import pytest
 
 import symmpow as sp
-from symmpow.linalg import identity, mat_mul, mat_vec, scalar_mat
-from symmpow.reps import hom_defect_count
+from symmpow.fields import extend_field
+from symmpow.linalg import Mat, identity, mat_mul, mat_vec, scalar_mat, transpose
+from symmpow.reps import _sym_image, hom_defect_count
 
 
 def test_monomial_basis_order():
@@ -167,3 +168,51 @@ def test_paired_rep_rejects_non_homomorphism(s3):
         sp.paired_rep(group, [sp.Mat(F, [[2]]), sp.Mat(F, [[3]])])
     with pytest.raises(ValueError):
         sp.paired_rep(group, [sp.Mat(F, [[1]])])  # wrong count
+
+
+# Per-element constructions: each builds the image of every group element
+# directly, with no replay through the edge table.  The generator-first
+# reps must replay to exactly these.
+
+def _sym_oracle(r, m):
+    basis = sp.monomial_basis(r.dim, m)
+    return [_sym_image(g, basis) for g in r.images]
+
+
+def _dual_oracle(r):
+    return [transpose(r.images[r.group.inverse[g]])
+            for g in range(r.group.order)]
+
+
+def _extend_oracle(r, e):
+    ext, table = extend_field(r.field, e)
+    return [Mat(ext, [[table[x] for x in row] for row in m.rows])
+            for m in r.images]
+
+
+def _induced_oracle(group, t):
+    field = group.field
+    n = group.coset_count
+    out = []
+    for g in range(group.order):
+        rows = [[0] * n for _ in range(n)]
+        for c, h in enumerate(group.transversal):
+            gh = group.prod(g, h)
+            c2 = group.coset_of[gh]
+            z = group.prod(group.inverse[group.transversal[c2]], gh)
+            rows[c2][c] = field.pow(group.elements[z].rows[0][0], t)
+        out.append(Mat(field, rows))
+    return out
+
+
+def test_replayed_images_match_per_element_constructions(s3, q8, sl23):
+    for group, v, mods in (s3, q8, sl23):
+        assert v.images == group.elements
+        for r in [v, *mods.values()]:
+            for m in (0, 2, 3):
+                assert sp.sym_power(r, m).images == _sym_oracle(r, m)
+            assert sp.dual_rep(r).images == _dual_oracle(r)
+            assert sp.extend_scalars(r, 2).images == _extend_oracle(r, 2)
+        for t in range(group.center_order):
+            assert sp.induced_from_center(group, t).images == \
+                _induced_oracle(group, t)

@@ -37,13 +37,6 @@ def test_scan_respects_m_max_and_cap(s3):
         sp.occurrence_scan(v, mods["sign"], m_max=6, cap_dim=3)
 
 
-def test_scan_threaded_agrees(s3):
-    _, v, mods = s3
-    a = sp.occurrence_scan(v, mods["standard"], jobs=1)
-    b = sp.occurrence_scan(v, mods["standard"], jobs=3)
-    assert a.rows == b.rows
-
-
 def test_molien_against_partition_count(s3):
     # the trivial multiplicity in degree m counts invariant monomial
     # combinations: solutions of 2a + 3b = m, a, b >= 0
