@@ -21,8 +21,7 @@ from .construct import (Certificate, assemble, build_coset_products,
                         check_independence, find_generic_vector,
                         is_generic_vector, verify_periodicity)
 from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
-                   molien_multiplicity, molien_table, occurrence_scan,
-                   verify_theorem)
+                   molien_table, occurrence_scan, verify_theorem)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "Certificate", "assemble", "build_coset_products", "check_independence",
     "find_generic_vector", "is_generic_vector", "verify_periodicity",
     "OccurrenceTable", "TheoremReport", "VerifyOptions",
-    "molien_multiplicity", "molien_table", "occurrence_scan",
-    "verify_theorem",
+    "molien_table", "occurrence_scan", "verify_theorem",
     "__version__",
 ]

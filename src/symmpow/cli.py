@@ -19,7 +19,9 @@ Exit codes: 0 success; 1 a module failed certification (e.g. reducible);
 2 malformed input; 3 enumeration or dimension cap exceeded; 4 generator
 images do not define a homomorphism; 5 irreducibility test inconclusive;
 6 a verified-by-construction identity failed, which means a bug, not bad
-input.
+input; 7 any other unexpected exception (an internal error).  Codes 2-6
+are carried by the exception classes in ``errors`` (``exit_code``); this
+module only parses, dispatches and encodes.
 """
 
 from __future__ import annotations
@@ -27,20 +29,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 from .construct import Certificate
-from .errors import (CapExceeded, MeataxeInconclusive, NotARepresentation,
-                     ParseError, TheoremViolation)
+from .errors import ParseError, SymmpowError
 from .fields import FieldSpec, make_field
 from .groups import (DEFAULT_GROUP_CAP, GroupData, center_scalars,
                      coset_transversal, enumerate_group)
 from .linalg import Mat
 from .meataxe import is_irreducible
 from .reps import defining_rep, paired_rep
-from .scan import (DEFAULT_DIM_CAP, OccurrenceTable, TheoremReport,
-                   VerifyOptions, molien_table, occurrence_scan,
-                   verify_theorem)
+from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
+                   scan_module, verify_theorem)
 
 SCHEMA = "symmpow-v1"
 
@@ -159,7 +159,7 @@ def check_options(options: dict):
             _fail(f'option "{key}" must be an integer')
         if val < low:
             _fail(f'option "{key}" must be at least {low}')
-    if options.get("molien", "auto") not in ("auto", "on", "off"):
+    if "molien" in options and options["molien"] not in ("auto", "on", "off"):
         _fail('option "molien" must be "auto", "on" or "off"')
 
 
@@ -274,6 +274,16 @@ def _group_summary(group: GroupData):
     }
 
 
+_VERIFY_KEYS = {f.name for f in dc_fields(VerifyOptions)}
+
+
+def _verify_options(doc: ProblemDoc) -> VerifyOptions:
+    """The pipeline options among the merged ones; unset keys take the
+    defaults of VerifyOptions."""
+    return VerifyOptions(**{k: v for k, v in doc.options.items()
+                            if k in _VERIFY_KEYS})
+
+
 def _module_reps(doc: ProblemDoc, group: GroupData):
     return [(spec.label, paired_rep(group, spec.images))
             for spec in doc.modules]
@@ -283,7 +293,7 @@ def cmd_check(doc: ProblemDoc):
     """Certify the inputs: group closure, homomorphism property,
     irreducibility of each module."""
     group = _build_group(doc)
-    seed = doc.options.get("seed", 0)
+    seed = _verify_options(doc).seed
     modules = []
     all_ok = True
     for label, rep in _module_reps(doc, group):
@@ -313,59 +323,30 @@ def cmd_scan(doc: ProblemDoc):
     cross-check when the characteristic permits."""
     group = _build_group(doc)
     v = defining_rep(group)
-    m_max = doc.options.get("m_max", group.order)
-    cap_dim = doc.options.get("cap_dim", DEFAULT_DIM_CAP)
-    molien_mode = doc.options.get("molien", "auto")
-    coprime = group.order % doc.field.p != 0
-    if molien_mode == "on" and not coprime:
-        raise ParseError("character oracle requested but the characteristic "
-                         "divides the group order")
-    use_molien = molien_mode == "on" or (molien_mode == "auto" and coprime)
+    opts = _verify_options(doc)
     modules = []
-    all_ok = True
     for label, rep in _module_reps(doc, group):
-        table = occurrence_scan(v, rep, m_max=m_max, cap_dim=cap_dim,
-                                label=label)
-        if use_molien:
-            mt = molien_table(v, rep, m_max)
-            table.molien_multiplicities = mt[1:]
-            if any(s != mt[m] or qd != mt[m] for m, s, qd in table.rows):
-                raise TheoremViolation(
-                    f"module {label}: scan and character oracle disagree")
-        found_sub = table.minimal_sub_m is not None
-        found_quot = table.minimal_quot_m is not None
-        if m_max >= group.order and not (found_sub and found_quot):
-            raise TheoremViolation(
-                f"module {label}: no occurrence up to the bound {group.order}")
-        ok = ((not found_sub or table.minimal_sub_m <= group.order)
-              and (not found_quot or table.minimal_quot_m <= group.order))
-        all_ok = all_ok and ok
-        entry = {"label": label, "dim": rep.dim, "ok": ok}
-        entry.update(enc_table(table))
+        # scan_module raises on every failure, so a returned table is ok
+        entry = {"label": label, "dim": rep.dim, "ok": True}
+        entry.update(enc_table(scan_module(v, rep, opts, label)))
         modules.append(entry)
     report = {
         "schema": SCHEMA,
         "kind": "scan-report",
         "field": enc_field(doc.field),
         "group": _group_summary(group),
-        "m_max": m_max,
+        "m_max": opts.depth(group),
         "modules": modules,
-        "ok": all_ok,
+        "ok": True,
     }
-    return report, 0 if all_ok else 1
+    return report, 0
 
 
 def cmd_construct(doc: ProblemDoc):
     """Full verification per module, certificates serialized in full."""
     group = _build_group(doc)
     v = defining_rep(group)
-    opts = VerifyOptions(
-        k_max=doc.options.get("k_max", 1),
-        seed=doc.options.get("seed", 0),
-        m_max=doc.options.get("m_max"),
-        cap_dim=doc.options.get("cap_dim", DEFAULT_DIM_CAP),
-        molien=doc.options.get("molien", "auto"),
-    )
+    opts = _verify_options(doc)
     modules = []
     all_ok = True
     any_reducible = False
@@ -497,21 +478,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
+    except SymmpowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotARepresentation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MeataxeInconclusive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return exc.exit_code
+    except Exception as exc:
+        # not SystemExit or KeyboardInterrupt, which derive from BaseException
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 7
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")

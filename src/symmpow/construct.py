@@ -22,10 +22,11 @@ Every one of those assertions is verified exactly; any failure raises
 TheoremViolation, since each is a proved identity and a failure can only
 mean an implementation bug or a violated precondition.
 
-Central groups (G = Z) take a degenerate branch: any nonzero v works, the
-span is the single polynomial built from the line of v and the orbit
-product, and the degree rule is m = t for t >= 1 and m = z for t = 0 (the
-smallest positive degree with the right central character).
+Central groups (G = Z) run the same steps with one coset: any nonzero v
+works (no generic vector is needed), F_c = 1, the span is the single
+polynomial B^t, or C when t = 0, and the degree rule gives m = t for
+t >= 1 and m = z for t = 0 (the smallest positive degree with the right
+central character).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import lcm
 
 from .errors import TheoremViolation
 from .fields import FieldSpec, extend_field
-from .groups import GroupData, center_scalars, coset_transversal
+from .groups import GroupData, center_scalars, coset_transversal, scalar_of
 from .homs import hom_space
 from .linalg import Mat, mat_mul, mat_vec, rank, transpose
 from .reps import (Rep, defining_rep, extend_scalars, induced_from_center,
@@ -44,13 +45,6 @@ from .reps import (Rep, defining_rep, extend_scalars, induced_from_center,
                    restrict_scalar_character, sym_power, PolyVec)
 
 _MAX_EXTENSION_SWEEP = 64
-
-
-def _embedded_images(group: GroupData, ext: FieldSpec, table, indices):
-    if ext is group.field:
-        return [group.elements[i] for i in indices]
-    return [Mat._new(ext, [[table[x] for x in row] for row in group.elements[i].rows])
-            for i in indices]
 
 
 def is_generic_vector(group: GroupData, images, v) -> bool:
@@ -78,16 +72,13 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
         raise ValueError("group acts by scalars; every vector is fixed")
     if group.generic is not None:
         return group.generic
-    base = group.field
     n = group.dim
     z_set = set(group.z_indices)
     noncentral = [i for i in range(group.order) if i not in z_set]
     for e in range(1, _MAX_EXTENSION_SWEEP + 1):
-        if e == 1:
-            ext, table = base, None
-        else:
-            ext, table = extend_field(base, e)
-        images = _embedded_images(group, ext, table, noncentral)
+        ext_rep = extend_scalars(v_rep, e)
+        ext = ext_rep.field
+        images = [ext_rep.images[i] for i in noncentral]
         for v in iter_product(range(ext.q), repeat=n):
             if not any(v):
                 continue
@@ -196,35 +187,25 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
     zn = group.center_order
     order = group.order
     central = zn == order
+    j = zn - t
+    # a central group has one coset, so m = t, or z when t = 0
+    m = group.coset_count * zn - j or zn
 
     if central:
-        j = zn - t
-        m = t if t >= 1 else zn
-        v = tuple(0 for _ in range(group.dim - 1)) + (1,)
-        w_ext = w
-        v_rep = extend_scalars(defining_rep(group), w.field.f // group.field.f)
-        if w_ext.field != v_rep.field:
-            raise ValueError("module field is not a standard extension tower")
-        v_t = v
+        v, v_field = (0,) * (group.dim - 1) + (1,), group.field
     else:
-        N = group.coset_count
-        j = zn - t
-        m = N * zn - j
         if not (1 <= j <= zn and 1 <= m < order):
             raise TheoremViolation(f"degree bookkeeping out of range: "
                                    f"t={t} j={j} m={m} order={order}")
         v, v_field = find_generic_vector(group, defining_rep(group))
-        w_ext, v_rep, v_t = _align_to_common_field(group, w, v, v_field)
+    w_ext, v_rep, v_t = _align_to_common_field(group, w, v, v_field)
 
     field = v_rep.field
     flags: dict = {}
 
     coset_products = build_coset_products(v_t, group, v_rep)
-    if not central:
-        _require(flags, "coset_powers_independent",
-                 check_independence(coset_products, j))
-    else:
-        flags["coset_powers_independent"] = True
+    _require(flags, "coset_powers_independent",
+             check_independence(coset_products, j))
 
     transversal_lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v_t)))
                          for h in group.transversal]
@@ -240,14 +221,11 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
     total_degree = m + k * order
     span_polys = []
     for f_c in coset_products:
-        p = poly_pow(f_c, j) if not central else poly_one(field, group.dim)
-        if central:
-            if t >= 1:
-                p = poly_mul(p, poly_pow(transversal_product, t))
-            else:
-                p = poly_mul(p, orbit_product)
-        elif t >= 1:
+        p = poly_pow(f_c, j)
+        if t >= 1:
             p = poly_mul(p, poly_pow(transversal_product, t))
+        elif central:
+            p = poly_mul(p, orbit_product)
         if k >= 1:
             p = poly_mul(p, poly_pow(orbit_product, k))
         span_polys.append(p)
@@ -286,10 +264,8 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
 
     lam_ext = v_rep.embed[group.lam]
     z_img = span_images[group.z_generator_index]
-    want = field.pow(lam_ext, t)
     _require(flags, "center_character",
-             all(z_img.rows[a][b] == (want if a == b else 0)
-                 for a in range(n_span) for b in range(n_span)))
+             scalar_of(z_img) == field.pow(lam_ext, t))
 
     induced = induced_from_center(group, t, field, v_rep.embed)
     phi = Mat._new(field, [[span_images[group.transversal[c]].rows[u][0]

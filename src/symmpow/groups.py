@@ -135,7 +135,7 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
                      elements, index, words, edges, inverse)
 
 
-def _scalar_of(m: Mat):
+def scalar_of(m: Mat):
     """The scalar c when m = c * I, else None."""
     c = m.rows[0][0]
     for i, row in enumerate(m.rows):
@@ -161,7 +161,7 @@ def center_scalars(group: GroupData):
     z_indices = []
     scalars = []
     for idx, m in enumerate(group.elements):
-        c = _scalar_of(m)
+        c = scalar_of(m)
         if c is not None:
             z_indices.append(idx)
             scalars.append(c)

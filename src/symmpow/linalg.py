@@ -51,9 +51,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.field!r}, {self.rows})"
 
-    def copy(self):
-        return Mat._new(self.field, [list(r) for r in self.rows])
-
     def key(self):
         """Hashable content key, used for group element lookup."""
         return tuple(x for row in self.rows for x in row)

@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import NotARepresentation
 from .fields import FieldSpec, discrete_log, extend_field
-from .groups import GroupData
+from .groups import GroupData, scalar_of
 from .linalg import Mat, identity, mat_inv, mat_mul, transpose
 
 
@@ -92,9 +92,6 @@ class PolyVec:
     def __repr__(self):
         return f"PolyVec(n={self.basis.n}, m={self.basis.m}, {self.coeffs})"
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
 
 def poly_one(field: FieldSpec, n: int) -> PolyVec:
     return PolyVec(field, monomial_basis(n, 0), [1])
@@ -138,11 +135,6 @@ def poly_pow(a: PolyVec, k: int) -> PolyVec:
     for _ in range(k):
         result = poly_mul(result, a)
     return result
-
-
-def poly_scale(c: int, a: PolyVec) -> PolyVec:
-    mul = a.field.mul
-    return PolyVec(a.field, a.basis, [mul(c, x) for x in a.coeffs])
 
 
 class Rep:
@@ -346,15 +338,9 @@ def restrict_scalar_character(w: Rep):
     group = w.group
     if group.z_indices is None:
         raise ValueError("center data missing; call center_scalars first")
-    m = w.images[group.z_generator_index]
-    c = m.rows[0][0]
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if i == j:
-                if x != c:
-                    return False, None
-            elif x:
-                return False, None
+    c = scalar_of(w.images[group.z_generator_index])
+    if c is None:
+        return False, None
     lam_here = w.embed[group.lam]
     t = discrete_log(w.field, lam_here, c, len(group.z_indices))
     return True, t

@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .construct import Certificate, assemble, verify_periodicity
-from .errors import CapExceeded, TheoremViolation
-from .fields import extend_field, mult_order
+from .errors import CapExceeded, ParseError, TheoremViolation
+from .fields import mult_order
 from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
@@ -143,29 +143,19 @@ class _MolienContext:
             raise ValueError("characteristic divides the group order; "
                              "the character oracle does not apply")
         self.group = group
-        self.base = base
         orders = [group.element_order(i) for i in range(group.order)]
         self.L = lcm(*orders) if orders else 1
         e = 1
         while pow(base.q, e, self.L) != 1 % self.L:
             e += 1
         self.e = e
-        if e == 1:
-            self.ext, self.table = base, tuple(range(base.q))
-        else:
-            self.ext, self.table = extend_field(base, e)
+        v_ext = extend_scalars(v, e)
+        self.ext = v_ext.field
         self.omega = next(x for x in range(1, self.ext.q)
                           if mult_order(self.ext, x) == self.L)
         self.orders = orders
-        self.exps_v = [self._eigen_exponents(self._push(v.images[g]),
-                                             orders[g])
+        self.exps_v = [self._eigen_exponents(v_ext.images[g], orders[g])
                        for g in range(group.order)]
-
-    def _push(self, m: Mat) -> Mat:
-        if self.ext is self.base:
-            return m
-        t = self.table
-        return Mat._new(self.ext, [[t[x] for x in row] for row in m.rows])
 
     def _eigen_exponents(self, m: Mat, d: int):
         """Exponents t with eigenvalue omega^t, with multiplicity."""
@@ -212,11 +202,11 @@ class _MolienContext:
     def char_row(self, w: Rep):
         """Lifted trace of w at each inverse element."""
         group = self.group
+        w_images = extend_scalars(w, self.e).images
         out = []
         for g in range(group.order):
             gi = group.inverse[g]
-            exps = self._eigen_exponents(self._push(w.images[gi]),
-                                         self.orders[gi])
+            exps = self._eigen_exponents(w_images[gi], self.orders[gi])
             row = [0] * self.L
             for t in exps:
                 row[t] += 1
@@ -255,11 +245,6 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     return out
 
 
-def molien_multiplicity(v: Rep, w: Rep, m: int) -> int:
-    """Multiplicity of w in Sym^m(v) by character arithmetic alone."""
-    return molien_table(v, w, m)[m]
-
-
 # ---------------------------------------------------------------------------
 # Full verification pipeline
 
@@ -267,9 +252,45 @@ def molien_multiplicity(v: Rep, w: Rep, m: int) -> int:
 class VerifyOptions:
     k_max: int = 1
     seed: int = 0
-    m_max: int | None = None
+    m_max: int | None = None   # None scans to |G|
     cap_dim: int = DEFAULT_DIM_CAP
     molien: str = "auto"       # auto | on | off
+
+    def depth(self, group) -> int:
+        """The scan depth: m_max, or |G| when it is unset."""
+        return self.m_max if self.m_max is not None else group.order
+
+
+def scan_module(v: Rep, w: Rep, opts: VerifyOptions,
+                label: str = "") -> OccurrenceTable:
+    """Occurrence table of w to opts.depth, cross-checked.
+
+    The character oracle runs when opts.molien is "on", or "auto" and the
+    characteristic does not divide |G|; "on" when it does is malformed
+    input (ParseError).  A disagreement with the oracle, or a scan that
+    reaches |G| without finding both occurrences by |G|, contradicts the
+    theorem and raises TheoremViolation.
+    """
+    group = v.group
+    coprime = group.order % v.field.p != 0
+    if opts.molien == "on" and not coprime:
+        raise ParseError("character oracle requested but the characteristic "
+                         "divides the group order")
+    m_max = opts.depth(group)
+    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim,
+                            label=label)
+    if opts.molien == "on" or (opts.molien == "auto" and coprime):
+        mt = molien_table(v, w, m_max)
+        table.molien_multiplicities = mt[1:]
+        if any(s != mt[m] or qd != mt[m] for m, s, qd in table.rows):
+            raise TheoremViolation(
+                f"module {label}: scan and character oracle disagree")
+    if m_max >= group.order and not all(
+            d is not None and d <= group.order
+            for d in (table.minimal_sub_m, table.minimal_quot_m)):
+        raise TheoremViolation(
+            f"module {label}: no occurrence up to the bound {group.order}")
+    return table
 
 
 @dataclass
@@ -293,23 +314,21 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
                    label: str = "") -> TheoremReport:
     """Run the whole argument for one module and check every step.
 
-    Certifies irreducibility, scans to m_max, extends scalars to a
-    splitting field, builds constructive certificates from a simple
-    quotient (for the submodule claim) and a simple submodule (for the
-    quotient claim), descends both occurrences to the base field,
-    cross-checks against the scan, optionally against the character
-    oracle, and reruns the construction at shifted degrees.
+    Certifies irreducibility, scans with ``scan_module`` (which also runs
+    the character oracle), extends scalars to a splitting field, builds
+    constructive certificates from a simple quotient (for the submodule
+    claim) and a simple submodule (for the quotient claim), descends both
+    occurrences to the base field, cross-checks them against the scan,
+    and reruns the construction at shifted degrees.
     """
     opts = options or VerifyOptions()
-    group = v.group
     res = is_irreducible(w, opts.seed)
     if not res.irreducible:
         raise ValueError("input module is reducible; only irreducible "
                          "modules have guaranteed occurrences")
 
-    m_max = opts.m_max if opts.m_max is not None else group.order
-    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim,
-                            label=label)
+    table = scan_module(v, w, opts, label)
+    m_max = len(table.rows)
 
     e, piece = splitting_extension(w, opts.seed)
     if e == 1:
@@ -340,13 +359,6 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     scan_ok = ((cert_sub.degree > m_max or base_sub_ok)
                and (cert_quot.degree > m_max or base_quot_ok))
 
-    molien_ok: bool | None = None
-    if opts.molien == "on" or (opts.molien == "auto"
-                               and group.order % v.field.p != 0):
-        mt = molien_table(v, w, m_max)
-        table.molien_multiplicities = mt[1:]
-        molien_ok = all(s == qd == mt[m] for m, s, qd in table.rows)
-
     periodicity: list = []
     if opts.k_max >= 1:
         flags_sub = verify_periodicity(w0_sub, cert_sub, opts.k_max)
@@ -357,8 +369,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
             periodicity = [a and b for a, b in zip(flags_sub, flags_quot)]
 
     ok = (all(cert_sub.flags.values()) and all(cert_quot.flags.values())
-          and base_sub_ok and base_quot_ok and scan_ok
-          and (molien_ok is not False) and all(periodicity))
+          and base_sub_ok and base_quot_ok and scan_ok and all(periodicity))
     return TheoremReport(
         label=label,
         dim=w.dim,
@@ -370,7 +381,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
         base_quotient_ok=base_quot_ok,
         table=table,
         scan_consistent=scan_ok,
-        molien_ok=molien_ok,
+        molien_ok=True if table.molien_multiplicities is not None else None,
         periodicity=periodicity,
         ok=ok,
     )

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import symmpow.cli as cli
+import symmpow.scan as scan
 from symmpow.errors import MeataxeInconclusive, TheoremViolation
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -105,6 +106,10 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     good = write_doc(tmp_path, S3_DOC, "good.json")
     assert run(["scan", "--input", good, "--m-max", "-3"]) == 2
     assert run(["scan", "--input", good, "--jobs", "0"]) == 2
+    # the character oracle does not apply when p divides |G| (3 | 24)
+    sl23 = str(PROBLEMS / "sl2_3_gf3.json")
+    assert run(["scan", "--input", sl23, "--molien", "on"]) == 2
+    assert run(["construct", "--input", sl23, "--molien", "on"]) == 2
     assert run(["check", "--input", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
@@ -165,6 +170,31 @@ def test_internal_violation_exits_6(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, S3_DOC)
     assert run(["construct", "--input", path]) == 6
     capsys.readouterr()
+
+
+def test_oracle_disagreement_exits_6(tmp_path, capsys, monkeypatch, s3):
+    real = scan.molien_table
+    monkeypatch.setattr(scan, "molien_table",
+                        lambda v, w, m_max: [x + 1 for x in real(v, w, m_max)])
+    path = write_doc(tmp_path, S3_DOC)
+    assert run(["scan", "--input", path]) == 6
+    assert run(["construct", "--input", path]) == 6
+    err = capsys.readouterr().err
+    assert "scan and character oracle disagree" in err
+    assert "Traceback" not in err
+    _, v, mods = s3
+    with pytest.raises(TheoremViolation):
+        scan.verify_theorem(v, mods["sign"], scan.VerifyOptions(k_max=0))
+
+
+def test_unexpected_exception_exits_7(tmp_path, capsys, monkeypatch):
+    def fake(rep, seed=0, budget=64):
+        raise RuntimeError("synthetic")
+    monkeypatch.setattr(cli, "is_irreducible", fake)
+    path = write_doc(tmp_path, S3_DOC)
+    assert run(["check", "--input", path]) == 7
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: synthetic\n"
 
 
 def test_cli_flags_override_document_options(tmp_path, capsys):
