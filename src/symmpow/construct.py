@@ -32,6 +32,7 @@ central character).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from itertools import product as iter_product
 from math import lcm
 
@@ -40,9 +41,10 @@ from .fields import FieldSpec, extend_field
 from .groups import GroupData, center_scalars, coset_transversal, scalar_of
 from .homs import hom_space
 from .linalg import Mat, mat_mul, mat_vec, rank, transpose
-from .reps import (Rep, defining_rep, extend_scalars, induced_from_center,
-                   poly_from_vector, poly_mul, poly_one, poly_pow,
-                   restrict_scalar_character, sym_power, PolyVec)
+from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
+                   extend_scalars, induced_from_center, poly_from_vector,
+                   poly_mul, poly_one, poly_pow, restrict_scalar_character,
+                   sym_power, PolyVec)
 
 _MAX_EXTENSION_SWEEP = 64
 
@@ -96,15 +98,9 @@ def build_coset_products(v, group: GroupData, v_rep: Rep):
     field = v_rep.field
     lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v)))
              for h in group.transversal]
-    out = []
-    for c in range(len(lines)):
-        prod = None
-        for c2, form in enumerate(lines):
-            if c2 == c:
-                continue
-            prod = form if prod is None else poly_mul(prod, form)
-        out.append(prod if prod is not None else poly_one(field, v_rep.dim))
-    return out
+    return [reduce(poly_mul, lines[:c] + lines[c + 1:])
+            if len(lines) > 1 else poly_one(field, v_rep.dim)
+            for c in range(len(lines))]
 
 
 def check_independence(coset_products, j: int) -> bool:
@@ -168,9 +164,11 @@ def _align_to_common_field(group: GroupData, w: Rep, v, v_field: FieldSpec):
     return w_ext, v_rep, v_t
 
 
-def assemble(w: Rep, k: int = 0) -> Certificate:
+def assemble(w: Rep, k: int = 0,
+             cap_dim: int = DEFAULT_DIM_CAP) -> Certificate:
     """Build and verify the span certifying that w occurs in the
-    symmetric power of degree m + k|G|."""
+    symmetric power of degree m + k|G|, whose dimension must not exceed
+    cap_dim (CapExceeded)."""
     if k < 0:
         raise ValueError("shift must be nonnegative")
     group = w.group
@@ -198,6 +196,8 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
             raise TheoremViolation(f"degree bookkeeping out of range: "
                                    f"t={t} j={j} m={m} order={order}")
         v, v_field = find_generic_vector(group, defining_rep(group))
+    total_degree = m + k * order
+    check_sym_dim(group.dim, total_degree, cap_dim)
     w_ext, v_rep, v_t = _align_to_common_field(group, w, v, v_field)
 
     field = v_rep.field
@@ -209,16 +209,11 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
 
     transversal_lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v_t)))
                          for h in group.transversal]
-    transversal_product = transversal_lines[0]
-    for form in transversal_lines[1:]:
-        transversal_product = poly_mul(transversal_product, form)
+    transversal_product = reduce(poly_mul, transversal_lines)
+    orbit_product = reduce(poly_mul, (
+        poly_from_vector(field, mat_vec(v_rep.images[g], list(v_t)))
+        for g in range(order)))
 
-    orbit_product = None
-    for g in range(order):
-        form = poly_from_vector(field, mat_vec(v_rep.images[g], list(v_t)))
-        orbit_product = form if orbit_product is None else poly_mul(orbit_product, form)
-
-    total_degree = m + k * order
     span_polys = []
     for f_c in coset_products:
         p = poly_pow(f_c, j)
@@ -317,11 +312,12 @@ def assemble(w: Rep, k: int = 0) -> Certificate:
     )
 
 
-def verify_periodicity(w: Rep, cert: Certificate, k_max: int):
+def verify_periodicity(w: Rep, cert: Certificate, k_max: int,
+                       cap_dim: int = DEFAULT_DIM_CAP):
     """Rerun the assembly at shifts 1..k_max; every run must verify."""
     out = []
     for k in range(1, k_max + 1):
-        shifted = assemble(w, k)
+        shifted = assemble(w, k, cap_dim)
         if shifted.degree != cert.degree or shifted.char_exponent != cert.char_exponent:
             raise TheoremViolation("shifted certificate disagrees on degree data")
         out.append(all(shifted.flags.values()))

@@ -74,7 +74,9 @@ def _poly_is_irreducible(mod, p: int) -> bool:
 
 
 def _lex_min_irreducible(p: int, f: int):
-    for tail in itertools.product(range(p), repeat=f):
+    # for f >= 2 a zero constant term means the factor t, so the sweep
+    # starts at constant term 1, where the first irreducible lies
+    for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
         cand = list(tail) + [1]
         if _poly_is_irreducible(cand, p):
             return tuple(cand)
@@ -371,14 +373,21 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldSpec:
     division.  Without one, the lexicographically smallest monic irreducible
     polynomial is selected, so the same (p, f) always yields the same field.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError(f"p must be prime, got {p}")
-    if not isinstance(f, int) or f < 1:
+    if not isinstance(f, int) or isinstance(f, bool) or f < 1:
         raise ValueError(f"f must be a positive integer, got {f}")
-    if p ** f > _ORDER_LIMIT:
+    # the guard comes before the trial division it bounds; f > 31 exceeds
+    # it for every p, without forming a huge power
+    if f > 31 or p ** f > _ORDER_LIMIT:
         raise ValueError(f"field order {p}^{f} exceeds the 2^31 guard")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(modulus)
+        if any(not isinstance(c, int) or isinstance(c, bool)
+               for c in modulus):
+            raise ValueError("modulus coefficients must be integers")
         if len(modulus) != f + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree f")
         if any(not 0 <= c < p for c in modulus):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import MeataxeInconclusive
+from .errors import MeataxeInconclusive, TheoremViolation
 from .homs import hom_space
 from .linalg import Mat, mat_add, mat_mul, mat_vec, null_space, rref, scalar_mul, transpose
 from .reps import Rep, dual_rep, extend_scalars
@@ -295,11 +295,13 @@ def splitting_extension(r: Rep, seed: int = 0):
     """Smallest e with an absolutely irreducible piece over GF(q^e).
 
     Returns (e, piece).  For irreducible r the endomorphism algebra is the
-    field GF(q^e), so e divides dim(r) and the loop terminates.
+    field GF(q^e) (Schur's lemma over a finite field), so e is its
+    dimension, and r splits over GF(q^e) into absolutely irreducible
+    pieces, none of which exists over a smaller extension.
     """
-    for e in range(1, r.dim + 1):
-        big = extend_scalars(r, e)
-        s = simple_submodule(big, seed)
-        if hom_space(s, s).dim == 1:
-            return e, s
-    raise AssertionError("no splitting degree up to dim; input not irreducible?")
+    e = hom_space(r, r).dim
+    s = simple_submodule(extend_scalars(r, e), seed)
+    if hom_space(s, s).dim != 1:
+        raise TheoremViolation("simple piece over the splitting field is "
+                               "not absolutely irreducible")
+    return e, s

@@ -24,10 +24,12 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import NotARepresentation
+from .errors import CapExceeded, NotARepresentation
 from .fields import FieldSpec, discrete_log, extend_field
 from .groups import GroupData, scalar_of
 from .linalg import Mat, identity, mat_inv, mat_mul, transpose
+
+DEFAULT_DIM_CAP = 5000
 
 
 class MonomialBasis:
@@ -253,6 +255,13 @@ def _sym_image(m: Mat, basis: MonomialBasis) -> Mat:
         cols.append(poly.coeffs)
     rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     return Mat._new(field, rows)
+
+
+def check_sym_dim(n: int, m: int, cap: int):
+    """Raise CapExceeded when Sym^m of an n-dim space is larger than cap."""
+    dim = comb(n + m - 1, m)
+    if dim > cap:
+        raise CapExceeded(f"dim Sym^{m} = {dim} exceeds the cap {cap}")
 
 
 def sym_power(v: Rep, m: int) -> Rep:

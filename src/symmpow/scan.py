@@ -8,30 +8,31 @@ The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
 divide the group order.  Eigenvalues of each element are identified as
 powers of one fixed root of unity omega of order L (the lcm of element
-orders) in GF(q^e), lifted formally to the ring Z[x]/(x^L - 1), and the
-complete homogeneous sums h_m are accumulated by the division-free Newton
-recurrence h_s = -sum_r c_r h_{s-r} on the coefficients of
-prod_i (1 - x^{t_i} T).  The averaged pairing sum must reduce, modulo the
-L-th cyclotomic polynomial, to a constant divisible by |G|; the quotient
-is the exact integer multiplicity.  Division by m never happens, so
-degrees divisible by the characteristic are handled exactly.
+orders) in GF(q^e), and lifted formally to monomials x^t of the ring
+Z[x]/(x^L - 1).  The complete homogeneous sums h_m of one element's
+lifted eigenvalues are built one eigenvalue at a time: for each x^t,
+h_m += x^t h_{m-1} for m = 1..m_max in increasing order, which multiplies
+the series sum_m h_m T^m by 1 / (1 - x^t T).  Each product with a monomial
+is a rotation of coefficients, so no ring multiplication or division
+occurs.  Pairing with the lifted character of w at g^-1 adds one rotated
+copy of h_m per eigenvalue of w(g^-1).  The averaged pairing sum must
+reduce, modulo the L-th cyclotomic polynomial, to a constant divisible by
+|G|; the quotient is the exact integer multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 from .construct import Certificate, assemble, verify_periodicity
-from .errors import CapExceeded, ParseError, TheoremViolation
-from .fields import mult_order
+from .errors import ParseError, TheoremViolation
 from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
-from .reps import Rep, extend_scalars, sym_power
-
-DEFAULT_DIM_CAP = 5000
+from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, extend_scalars,
+                   sym_power)
 
 
 @dataclass
@@ -64,9 +65,7 @@ def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
         m_max = group.order
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    top = comb(v.dim + m_max - 1, m_max)
-    if top > cap_dim:
-        raise CapExceeded(f"dim Sym^{m_max} = {top} exceeds the cap {cap_dim}")
+    check_sym_dim(v.dim, m_max, cap_dim)
     rows = [_scan_one(v, w, m) for m in range(1, m_max + 1)]
     minimal_sub = next((m for m, s, _ in rows if s > 0), None)
     minimal_quot = next((m for m, _, qd in rows if qd > 0), None)
@@ -78,23 +77,6 @@ def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
 
 # ---------------------------------------------------------------------------
 # Molien oracle
-
-def _ring_mul(a, b, L):
-    out = [0] * L
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    k = i + j
-                    if k >= L:
-                        k -= L
-                    out[k] += x * y
-    return out
-
-
-def _ring_shift(a, t, L):
-    return [a[(i - t) % L] for i in range(L)]
-
 
 @lru_cache(maxsize=None)
 def _cyclotomic(L: int):
@@ -133,105 +115,65 @@ def _poly_mod(num, den):
     return num[:dn]
 
 
-class _MolienContext:
-    """Eigenvalue data of one action, shared across target modules."""
-
-    def __init__(self, v: Rep):
-        group = v.group
-        base = v.field
-        if group.order % base.p == 0:
-            raise ValueError("characteristic divides the group order; "
-                             "the character oracle does not apply")
-        self.group = group
-        orders = [group.element_order(i) for i in range(group.order)]
-        self.L = lcm(*orders) if orders else 1
-        e = 1
-        while pow(base.q, e, self.L) != 1 % self.L:
-            e += 1
-        self.e = e
-        v_ext = extend_scalars(v, e)
-        self.ext = v_ext.field
-        self.omega = next(x for x in range(1, self.ext.q)
-                          if mult_order(self.ext, x) == self.L)
-        self.orders = orders
-        self.exps_v = [self._eigen_exponents(v_ext.images[g], orders[g])
-                       for g in range(group.order)]
-
-    def _eigen_exponents(self, m: Mat, d: int):
-        """Exponents t with eigenvalue omega^t, with multiplicity."""
-        ext = self.ext
-        n = m.nrows
-        exps = []
-        for s in range(d):
-            t = (self.L // d) * s
-            xi = ext.pow(self.omega, t)
-            shifted = Mat._new(ext, [[ext.sub(m.rows[a][b],
-                                              xi if a == b else 0)
-                                      for b in range(n)] for a in range(n)])
-            mult = n - rank(shifted)
-            exps.extend([t] * mult)
-        if len(exps) != n:
-            raise TheoremViolation("element not diagonalizable in the "
-                                   "root-of-unity extension")
-        return exps
-
-    def _h_list(self, exps, m_max):
-        L = self.L
-        one = [1] + [0] * (L - 1)
-        # coefficients of prod (1 - x^t T) as ring elements
-        cs = [list(one)]
-        for t in exps:
-            new_cs = [list(c) for c in cs] + [[0] * L]
-            for r in range(len(cs), 0, -1):
-                shifted = _ring_shift(cs[r - 1], t, L)
-                new_cs[r] = [a - b for a, b in zip(new_cs[r], shifted)]
-            cs = new_cs
-        hs = [list(one)]
-        for s in range(1, m_max + 1):
-            acc = [0] * L
-            for r in range(1, min(s, len(cs) - 1) + 1):
-                term = _ring_mul(cs[r], hs[s - r], L)
-                acc = [a + b for a, b in zip(acc, term)]
-            hs.append([-a for a in acc])
-        return hs
-
-    def h_rows(self, m_max: int):
-        """Per element, complete homogeneous sums of its eigenvalue lifts."""
-        return [self._h_list(exps, m_max) for exps in self.exps_v]
-
-    def char_row(self, w: Rep):
-        """Lifted trace of w at each inverse element."""
-        group = self.group
-        w_images = extend_scalars(w, self.e).images
-        out = []
-        for g in range(group.order):
-            gi = group.inverse[g]
-            exps = self._eigen_exponents(w_images[gi], self.orders[gi])
-            row = [0] * self.L
-            for t in exps:
-                row[t] += 1
-            out.append(row)
-        return out
-
-
 def molien_table(v: Rep, w: Rep, m_max: int):
     """Multiplicities of w in Sym^m(v) for m = 0..m_max, exact integers."""
     if v.group is not w.group:
         raise ValueError("modules must share a group")
     if v.field != w.field:
         raise ValueError("modules must share a field")
-    ctx = _MolienContext(v)
-    L = ctx.L
-    order = v.group.order
-    hs = ctx.h_rows(m_max)
-    chi = ctx.char_row(w)
+    group = v.group
+    base = v.field
+    if group.order % base.p == 0:
+        raise ValueError("characteristic divides the group order; "
+                         "the character oracle does not apply")
+    order = group.order
+    orders = [group.element_order(i) for i in range(order)]
+    L = lcm(*orders) if orders else 1
+    e = 1
+    while pow(base.q, e, L) != 1 % L:
+        e += 1
+    v_ext = extend_scalars(v, e)
+    w_ext = extend_scalars(w, e)
+    ext = v_ext.field
+    # the first code of order exactly L: x^L = 1 but x^d != 1 for every
+    # proper divisor d of L
+    proper = [d for d in range(1, L) if L % d == 0]
+    omega = next(x for x in range(1, ext.q) if ext.pow(x, L) == 1
+                 and all(ext.pow(x, d) != 1 for d in proper))
+
+    def eigen_exponents(m: Mat, d: int):
+        """Exponents t with eigenvalue omega^t, with multiplicity."""
+        n = m.nrows
+        exps = []
+        for s in range(d):
+            t = (L // d) * s
+            xi = ext.pow(omega, t)
+            shifted = Mat._new(ext, [[ext.sub(m.rows[a][b],
+                                              xi if a == b else 0)
+                                      for b in range(n)] for a in range(n)])
+            exps.extend([t] * (n - rank(shifted)))
+        if len(exps) != n:
+            raise TheoremViolation("element not diagonalizable in the "
+                                   "root-of-unity extension")
+        return exps
+
+    # an element of Z[x]/(x^L - 1) is its coefficient list, and the
+    # product with the monomial x^t is the rotation a[-t:] + a[:-t]
+    totals = [[0] * L for _ in range(m_max + 1)]
+    for g in range(order):
+        h = [[1] + [0] * (L - 1)] + [[0] * L for _ in range(m_max)]
+        for t in eigen_exponents(v_ext.images[g], orders[g]):
+            for m in range(1, m_max + 1):
+                prev = h[m - 1]
+                h[m] = [a + b for a, b in zip(h[m], prev[-t:] + prev[:-t])]
+        gi = group.inverse[g]
+        for t in eigen_exponents(w_ext.images[gi], orders[gi]):
+            for m, hm in enumerate(h):
+                totals[m] = [a + b for a, b in
+                             zip(totals[m], hm[-t:] + hm[:-t])]
     phi = list(_cyclotomic(L))
     out = []
-    for m in range(m_max + 1):
-        total = [0] * L
-        for g in range(order):
-            term = _ring_mul(hs[g][m], chi[g], L)
-            total = [a + b for a, b in zip(total, term)]
+    for total in totals:
         rem = _poly_mod(total, phi)
         if any(rem[1:]):
             raise TheoremViolation("character pairing is not rational")
@@ -301,13 +243,9 @@ class TheoremReport:
     splitting_degree: int
     sub_claim: Certificate
     quot_claim: Certificate
-    base_submodule_ok: bool
-    base_quotient_ok: bool
     table: OccurrenceTable
-    scan_consistent: bool
     molien_ok: bool | None
     periodicity: list
-    ok: bool
 
 
 def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
@@ -318,8 +256,8 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     the character oracle), extends scalars to a splitting field, builds
     constructive certificates from a simple quotient (for the submodule
     claim) and a simple submodule (for the quotient claim), descends both
-    occurrences to the base field, cross-checks them against the scan,
-    and reruns the construction at shifted degrees.
+    occurrences to the base field, and reruns the construction at shifted
+    degrees.  Every failed step raises, so a returned report is verified.
     """
     opts = options or VerifyOptions()
     res = is_irreducible(w, opts.seed)
@@ -330,46 +268,41 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     table = scan_module(v, w, opts, label)
     m_max = len(table.rows)
 
-    e, piece = splitting_extension(w, opts.seed)
-    if e == 1:
-        w0_quot = piece
-        w0_sub = piece
-    else:
-        big = extend_scalars(w, e)
-        w0_quot = piece                      # simple submodule of big
-        w0_sub = simple_quotient(big, opts.seed)
+    # over GF(q^e) the submodule claim is built from a simple quotient
+    # and the quotient claim from a simple submodule; for e = 1 both are w
+    e, w0_quot = splitting_extension(w, opts.seed)
+    w0_sub = (w0_quot if e == 1
+              else simple_quotient(extend_scalars(w, e), opts.seed))
 
-    cert_sub = assemble(w0_sub, 0)
-    cert_quot = cert_sub if w0_quot is w0_sub else assemble(w0_quot, 0)
+    cert_sub = assemble(w0_sub, 0, opts.cap_dim)
+    cert_quot = (cert_sub if w0_quot is w0_sub
+                 else assemble(w0_quot, 0, opts.cap_dim))
 
-    # base-field occurrence at the certified degrees: read off the scan,
-    # solved once more only when the certificate lies beyond it
+    # base-field occurrence at the certified degrees: read off the scan's
+    # own row, which also checks the scan, and solved once more only when
+    # the certificate lies beyond it
     def row_at(m):
-        return table.rows[m - 1] if m <= m_max else _scan_one(v, w, m)
+        if m <= m_max:
+            return table.rows[m - 1]
+        check_sym_dim(v.dim, m, opts.cap_dim)
+        return _scan_one(v, w, m)
 
     row_sub = row_at(cert_sub.degree)
     row_quot = (row_sub if cert_quot.degree == cert_sub.degree
                 else row_at(cert_quot.degree))
-    base_sub_ok = row_sub[1] > 0
-    base_quot_ok = row_quot[2] > 0
+    for side, row, col in (("submodule", row_sub, 1),
+                           ("quotient", row_quot, 2)):
+        if not row[col]:
+            raise TheoremViolation(
+                f"module {label}: no base-field {side} at the certified "
+                f"degree {row[0]}")
 
-    # the scan must see each occurrence at its certified degree whenever
-    # it got that far, which also puts its minimal degree at or below the
-    # certified one; degrees beyond the scan are not compared
-    scan_ok = ((cert_sub.degree > m_max or base_sub_ok)
-               and (cert_quot.degree > m_max or base_quot_ok))
+    periodicity = verify_periodicity(w0_sub, cert_sub, opts.k_max,
+                                     opts.cap_dim)
+    if w0_quot is not w0_sub:
+        # run for what it raises: assemble raises on any false flag
+        verify_periodicity(w0_quot, cert_quot, opts.k_max, opts.cap_dim)
 
-    periodicity: list = []
-    if opts.k_max >= 1:
-        flags_sub = verify_periodicity(w0_sub, cert_sub, opts.k_max)
-        if w0_quot is w0_sub:
-            periodicity = flags_sub
-        else:
-            flags_quot = verify_periodicity(w0_quot, cert_quot, opts.k_max)
-            periodicity = [a and b for a, b in zip(flags_sub, flags_quot)]
-
-    ok = (all(cert_sub.flags.values()) and all(cert_quot.flags.values())
-          and base_sub_ok and base_quot_ok and scan_ok and all(periodicity))
     return TheoremReport(
         label=label,
         dim=w.dim,
@@ -377,11 +310,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
         splitting_degree=e,
         sub_claim=cert_sub,
         quot_claim=cert_quot,
-        base_submodule_ok=base_sub_ok,
-        base_quotient_ok=base_quot_ok,
         table=table,
-        scan_consistent=scan_ok,
         molien_ok=True if table.molien_multiplicities is not None else None,
         periodicity=periodicity,
-        ok=ok,
     )

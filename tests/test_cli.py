@@ -1,11 +1,17 @@
 """The command-line contract: parsing, reports, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symmpow.cli as cli
 import symmpow.scan as scan
@@ -99,6 +105,13 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
                    {"seed": -1}, {"cap_group": True}, {"cap_dim": 0},
                    {"jobs": 0}, {"jobs": "2"}, {"molien": "maybe"}]
     cases += [dict(S3_DOC, options=opts) for opts in bad_options]
+    bad_fields = [{"p": 1000000000000000003}, {"p": 2, "f": 10 ** 18},
+                  {"p": True}, {"p": 7, "f": True},
+                  {"p": 7, "f": 2, "modulus": [3, True, 1]},
+                  {"p": 7, "f": 2, "modulus": [3.0, 1, 1]},
+                  {"p": 7, "f": 2, "modulus": "311"}]
+    cases += [dict(S3_DOC, field=f) for f in bad_fields]
+    cases += [dict(S3_DOC, modules=m) for m in (None, 3, "trivial", {})]
     for i, doc in enumerate(cases):
         path = write_doc(tmp_path, doc, f"bad{i}.json")
         assert run(["check", "--input", path]) == 2, doc
@@ -111,6 +124,12 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     assert run(["scan", "--input", sl23, "--molien", "on"]) == 2
     assert run(["construct", "--input", sl23, "--molien", "on"]) == 2
     assert run(["check", "--input", str(tmp_path / "missing.json")]) == 2
+    # bytes that are not UTF-8, and an integer past Python's digit limit
+    raw = tmp_path / "raw.json"
+    digits = b'{"field": {"p": ' + b"7" * 5000 + b"}}"
+    for content in (b'{"schema": "\xff"}', digits):
+        raw.write_bytes(content)
+        assert run(["check", "--input", str(raw)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
@@ -154,6 +173,27 @@ def test_caps_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cap_dim_bounds_construct(capsys):
+    # the certified degree 5 (dim Sym^5 = 6) lies beyond a scan to m = 1;
+    # with k_max = 1 the shifted certificate needs Sym^11 (dim 12)
+    s3 = str(PROBLEMS / "s3_gf7.json")
+    assert run(["construct", "--input", s3, "--cap-dim", "3",
+                "--m-max", "1", "--k-max", "0"]) == 3
+    assert run(["construct", "--input", s3, "--cap-dim", "6",
+                "--m-max", "1", "--k-max", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds the cap" in err and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run(["check", "--input", str(PROBLEMS / "c3_gf7.json"),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_inconclusive_exits_5(tmp_path, capsys, monkeypatch):
     def fake(rep, seed=0, budget=64):
         raise MeataxeInconclusive("no verdict after 0 draws")
@@ -185,6 +225,23 @@ def test_oracle_disagreement_exits_6(tmp_path, capsys, monkeypatch, s3):
     _, v, mods = s3
     with pytest.raises(TheoremViolation):
         scan.verify_theorem(v, mods["sign"], scan.VerifyOptions(k_max=0))
+
+
+def test_missing_base_occurrence_is_a_violation(tmp_path, capsys,
+                                                monkeypatch, s3):
+    # a scan row that lacks the certified occurrence contradicts the
+    # theorem: verify_theorem raises, and construct writes no report
+    monkeypatch.setattr(scan, "_scan_one", lambda v, w, m: (m, 0, 0))
+    _, v, mods = s3
+    with pytest.raises(TheoremViolation, match="certified degree"):
+        scan.verify_theorem(v, mods["sign"],
+                            scan.VerifyOptions(m_max=1, k_max=0))
+    out = tmp_path / "r.json"
+    assert run(["construct", "--m-max", "1", "--input",
+                str(PROBLEMS / "s3_gf7.json"), "--out", str(out)]) == 6
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "certified degree" in err and "Traceback" not in err
 
 
 def test_unexpected_exception_exits_7(tmp_path, capsys, monkeypatch):
@@ -270,3 +327,52 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.rstrip().endswith("ok")
+
+
+# integers are unbounded, so p and f also get huge values
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=8)
+
+# paths into S3_DOC that the fuzzer may overwrite; option keys that the
+# flags below set are left out, since the flags override them
+FUZZ_PATHS = (
+    ("schema",), ("field",), ("field", "p"), ("field", "f"),
+    ("field", "modulus"), ("generators",), ("generators", 0),
+    ("generators", 1, 0), ("generators", 0, 1, 1), ("modules",),
+    ("modules", 1), ("modules", 0, "label"), ("modules", 1, "images"),
+    ("modules", 1, "images", 0, 0, 0), ("options",), ("options", "molien"),
+    ("options", "seed"), ("extra",),
+)
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["check", "scan", "construct"]),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), JSON_VALUES),
+                      min_size=1, max_size=2))
+def test_fuzzed_documents_exit_with_a_documented_code(command, edits):
+    doc = copy.deepcopy(S3_DOC)
+    for path, value in edits:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit replaced a parent of this path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        # the flags bound the work of any document that parses
+        argv = [command, "--input", str(path), "--m-max", "3",
+                "--k-max", "0", "--cap-group", "60", "--cap-dim", "20"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert 0 <= code <= 6, err.getvalue()
+    assert "Traceback" not in err.getvalue()

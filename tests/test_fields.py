@@ -60,8 +60,11 @@ def test_prime_field_tables():
 def test_extension_moduli_are_lex_min():
     assert sp.make_field(3, 2).modulus == (1, 0, 1)
     assert sp.make_field(2, 2).modulus == (1, 1, 1)
-    for p, f in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 4)):
+    for p, f in ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 4), (2, 8),
+                 (3, 5)):
         assert sp.make_field(p, f).modulus == naive_lex_min_irreducible(p, f)
+    # past the 7^10 candidates with constant term 0, all divisible by t
+    assert sp.make_field(7, 11).modulus == (1,) + (0,) * 9 + (4, 1)
 
 
 def test_gf9_arithmetic_by_hand():
