@@ -34,8 +34,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from .construct import Certificate
 from .errors import ParseError, SymmpowError
 from .fields import FieldSpec, make_field
-from .groups import (DEFAULT_GROUP_CAP, GroupData, center_scalars,
-                     coset_transversal, enumerate_group)
+from .groups import DEFAULT_GROUP_CAP, GroupData, build_group
 from .linalg import Mat
 from .meataxe import is_irreducible
 from .reps import defining_rep, paired_rep
@@ -261,12 +260,9 @@ def _split_certificate_json(field: FieldSpec, cert: dict):
 def _build_group(doc: ProblemDoc) -> GroupData:
     cap = doc.options.get("cap_group", DEFAULT_GROUP_CAP)
     try:
-        group = enumerate_group(doc.generators, cap=cap)
+        return build_group(doc.generators, cap)
     except ValueError as exc:
         raise ParseError(f"invalid generators: {exc}")
-    center_scalars(group)
-    coset_transversal(group)
-    return group
 
 
 def _group_summary(group: GroupData):
@@ -353,10 +349,10 @@ def cmd_construct(doc: ProblemDoc):
     opts = _verify_options(doc)
     modules = []
     for label, rep in _module_reps(doc, group):
-        tr = None   # a reducible module gets no report
-        if is_irreducible(rep, opts.seed).irreducible:
-            tr = enc_theorem_report(verify_theorem(v, rep, opts, label=label))
-        modules.append({"label": label, "dim": rep.dim, "report": tr})
+        tr = verify_theorem(v, rep, opts, label=label)
+        # a reducible module gets no report
+        modules.append({"label": label, "dim": rep.dim,
+                        "report": tr if tr is None else enc_theorem_report(tr)})
     any_reducible = any(m["report"] is None for m in modules)
     report = {
         "schema": SCHEMA,

@@ -49,7 +49,7 @@ from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
 _MAX_EXTENSION_SWEEP = 64
 
 
-def is_generic_vector(group: GroupData, images, v) -> bool:
+def is_generic_vector(images, v) -> bool:
     """True when no matrix in images maps v to a scalar multiple of v."""
     field = images[0].field if images else None
     for m in images:
@@ -84,7 +84,7 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
         for v in iter_product(range(ext.q), repeat=n):
             if not any(v):
                 continue
-            if is_generic_vector(group, images, list(v)):
+            if is_generic_vector(images, list(v)):
                 group.generic = (tuple(v), ext)
                 return group.generic
     raise AssertionError("no generic vector within the extension sweep")
@@ -272,18 +272,18 @@ def assemble(w: Rep, k: int = 0,
 
     hs_in = hom_space(w_ext, span_rep)
     hs_out = hom_space(span_rep, w_ext)
-    _require(flags, "module_occurs_in_span", hs_in.dim > 0 and hs_out.dim > 0)
+    _require(flags, "module_occurs_in_span", bool(hs_in and hs_out))
 
     span_cols = transpose(span_matrix)
-    embedding = mat_mul(span_cols, hs_in.basis[0])
+    embedding = mat_mul(span_cols, hs_in[0])
     emb_ok = rank(embedding) == w_ext.dim and all(
         mat_mul(a, embedding) == mat_mul(embedding, b)
         for a, b in zip(sym_rep.gens, w_ext.gens))
     _require(flags, "embedding_witness", emb_ok)
 
     hs_quot = hom_space(sym_rep, w_ext)
-    _require(flags, "quotient_exists", hs_quot.dim > 0)
-    quotient = hs_quot.basis[0]
+    _require(flags, "quotient_exists", bool(hs_quot))
+    quotient = hs_quot[0]
     quot_ok = rank(quotient) == w_ext.dim and all(
         mat_mul(b, quotient) == mat_mul(quotient, a)
         for a, b in zip(sym_rep.gens, w_ext.gens))

@@ -40,6 +40,31 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime_factors(n: int):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _square_multiply(mul, a, e: int):
+    """a**e for e >= 0 under the multiplication mul."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
 def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
@@ -247,14 +272,7 @@ class FieldSpec:
             def pw(a, e):
                 if e < 0:
                     a, e = inv(a), -e
-                result = 1
-                base = a
-                while e:
-                    if e & 1:
-                        result = mul(result, base)
-                    base = mul(base, base)
-                    e >>= 1
-                return result
+                return _square_multiply(mul, a, e)
 
         if p == 2:
             def add(a, b):
@@ -307,23 +325,22 @@ class FieldSpec:
             add, sub, neg, mul, inv, pw)
 
     def _build_exp_log(self):
-        """Exp/log tables for a multiplicative generator, found by scanning
-        codes upward and keeping the first element whose powers cycle through
-        the whole multiplicative group."""
+        """Exp/log tables for the least code of order q - 1: the first c
+        with c^((q-1)/r) != 1 for every prime r dividing q - 1."""
         q = self.q
         qm1 = q - 1
-        for cand in range(2, q):
-            exp = [1]
-            x = cand
-            while x != 1 and len(exp) <= qm1:
-                exp.append(x)
-                x = self._raw_mul(x, cand)
-            if len(exp) == qm1:
-                log = [0] * q
-                for k, v in enumerate(exp):
-                    log[v] = k
-                return exp, log
-        raise ArithmeticError("no multiplicative generator found")  # unreachable
+        cofactors = [qm1 // r for r in _prime_factors(qm1)]
+        gen = next(c for c in range(2, q)
+                   if all(_square_multiply(self._raw_mul, c, e) != 1
+                          for e in cofactors))
+        exp = [1] * qm1
+        log = [0] * q
+        x = 1
+        for k in range(1, qm1):
+            x = self._raw_mul(x, gen)
+            exp[k] = x
+            log[x] = k
+        return exp, log
 
     # element codecs -------------------------------------------------------
 

@@ -22,8 +22,8 @@ class GroupData:
 
     Attributes populated by :func:`enumerate_group`:
       field, dim, generators, generator_indices, elements, index (matrix
-      key -> element index), words (generator word reaching each element),
-      edges (edges[i][k] = index of elements[i] @ generators[k]), inverse.
+      key -> element index), edges (edges[i][k] = index of
+      elements[i] @ generators[k]), inverse.
 
     Populated by :func:`center_scalars`: z_indices, z_generator_index, lam.
     Populated by :func:`coset_transversal`: transversal, coset_of.
@@ -31,19 +31,18 @@ class GroupData:
     """
 
     __slots__ = ("field", "dim", "generators", "generator_indices",
-                 "elements", "index", "words", "edges", "inverse",
+                 "elements", "index", "edges", "inverse",
                  "z_indices", "z_generator_index", "lam",
                  "transversal", "coset_of", "generic")
 
     def __init__(self, field, dim, generators, generator_indices,
-                 elements, index, words, edges, inverse):
+                 elements, index, edges, inverse):
         self.field = field
         self.dim = dim
         self.generators = generators
         self.generator_indices = generator_indices
         self.elements = elements
         self.index = index
-        self.words = words
         self.edges = edges
         self.inverse = inverse
         self.z_indices = None
@@ -106,12 +105,11 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
     ident = identity(field, n)
     elements = [ident]
     index = {ident.key(): 0}
-    words = [()]
     edges = []
     i = 0
     while i < len(elements):
         row = []
-        for k, g in enumerate(gens):
+        for g in gens:
             m = mat_mul(elements[i], g)
             key = m.key()
             j = index.get(key)
@@ -122,7 +120,6 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
                         f"group closure exceeded cap of {cap} elements")
                 index[key] = j
                 elements.append(m)
-                words.append(words[i] + (k,))
             row.append(j)
         edges.append(row)
         i += 1
@@ -132,7 +129,7 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
         inverse.append(index[mat_inv(m).key()])
     generator_indices = [index[g.key()] for g in gens]
     return GroupData(field, n, gens, generator_indices,
-                     elements, index, words, edges, inverse)
+                     elements, index, edges, inverse)
 
 
 def scalar_of(m: Mat):

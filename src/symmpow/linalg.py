@@ -61,15 +61,6 @@ def identity(field: FieldSpec, n: int) -> Mat:
                             for i in range(n)])
 
 
-def zeros(field: FieldSpec, nrows: int, ncols: int) -> Mat:
-    return Mat._new(field, [[0] * ncols for _ in range(nrows)])
-
-
-def scalar_mat(field: FieldSpec, n: int, c: int) -> Mat:
-    return Mat._new(field, [[c if i == j else 0 for j in range(n)]
-                            for i in range(n)])
-
-
 def transpose(a: Mat) -> Mat:
     return Mat._new(a.field, [list(col) for col in zip(*a.rows)])
 
@@ -94,19 +85,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return Mat._new(a.field, out)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if a.field != b.field or a.nrows != b.nrows or a.ncols != b.ncols:
-        raise ValueError("shape or field mismatch")
-    add = a.field.add
-    return Mat._new(a.field, [[add(x, y) for x, y in zip(ra, rb)]
-                              for ra, rb in zip(a.rows, b.rows)])
-
-
-def scalar_mul(c: int, a: Mat) -> Mat:
-    mul = a.field.mul
-    return Mat._new(a.field, [[mul(c, x) for x in r] for r in a.rows])
-
-
 def mat_vec(a: Mat, v) -> list:
     if len(v) != a.ncols:
         raise ValueError("vector length mismatch")
@@ -119,18 +97,6 @@ def mat_vec(a: Mat, v) -> list:
                 acc = add(acc, mul(x, y))
         out.append(acc)
     return out
-
-
-def stack_rows(mats) -> Mat:
-    mats = list(mats)
-    field = mats[0].field
-    ncols = mats[0].ncols
-    rows = []
-    for m in mats:
-        if m.field != field or m.ncols != ncols:
-            raise ValueError("stack mismatch")
-        rows.extend(list(r) for r in m.rows)
-    return Mat._new(field, rows)
 
 
 def rref(a: Mat):
@@ -205,31 +171,3 @@ def mat_inv(a: Mat) -> Mat:
     if rk < n or any(R.rows[i][i] != 1 for i in range(n)):
         raise ZeroDivisionError("matrix is singular")
     return Mat._new(a.field, [row[n:] for row in R.rows])
-
-
-def solve(a: Mat, b: Mat):
-    """A particular X with a @ X = b, or None if the system is inconsistent.
-
-    Free variables are set to zero; when a has full column rank the solution
-    is unique.
-    """
-    if a.field != b.field or a.nrows != b.nrows:
-        raise ValueError("shape or field mismatch")
-    n = a.ncols
-    aug = Mat._new(a.field, [list(ra) + list(rb)
-                             for ra, rb in zip(a.rows, b.rows)])
-    R, _, pivots = rref(aug)
-    for i, row in enumerate(R.rows):
-        if any(row[:n]) or not any(row[n:]):
-            continue
-        return None  # zero row in the coefficient block with nonzero rhs
-    out = [[0] * b.ncols for _ in range(n)]
-    for k, pc in enumerate(pivots):
-        if pc >= n:
-            return None
-        out[pc] = list(R.rows[k][n:])
-    return Mat._new(a.field, out)
-
-
-def is_zero(a: Mat) -> bool:
-    return all(not x for row in a.rows for x in row)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import MeataxeInconclusive, TheoremViolation
 from .homs import hom_space
-from .linalg import Mat, mat_add, mat_mul, mat_vec, null_space, rref, scalar_mul, transpose
+from .linalg import Mat, mat_mul, mat_vec, null_space, rref, transpose
 from .reps import Rep, dual_rep, extend_scalars
 
 _LCG_A = 6364136223846793005
@@ -52,17 +52,14 @@ class Lcg:
 class SplitResult:
     """Outcome of an irreducibility test.
 
-    verdict is "irreducible" or "split".  On a split, basis holds a
-    dim x k matrix whose columns span a proper stable subspace, and
-    sub_rep / quot_rep carry the two induced actions.  The certificate
-    is enough to replay the verdict: the theta recipe and the vectors
-    whose spins decided it.
+    verdict is "irreducible" or "split".  On a split, sub_rep carries
+    the action on a proper stable subspace.  The certificate is enough
+    to replay the verdict: the theta recipe and the vectors whose spins
+    decided it.
     """
 
     verdict: str
-    basis: Mat | None = None
     sub_rep: Rep | None = None
-    quot_rep: Rep | None = None
     draws: int = 0
     certificate: dict = dc_field(default_factory=dict)
 
@@ -111,18 +108,12 @@ def _spin(vec, gens, field, dim):
     return reduced
 
 
-def spin_up(v0, r: Rep) -> Mat:
-    """Smallest stable subspace containing v0, as echelon basis rows."""
-    if not any(v0):
-        raise ValueError("cannot spin the zero vector")
-    return _spin(v0, r.gens, r.field, r.dim)
-
-
 def _random_theta(rng: Lcg, r: Rep, gens):
     """A short random element of the acting algebra, with its recipe."""
     field = r.field
+    add, mul = field.add, field.mul
     nterms = 2 + rng.randrange(3)
-    theta = None
+    theta = [[0] * r.dim for _ in range(r.dim)]
     recipe = []
     for _ in range(nterms):
         coeff = 1 + rng.randrange(field.q - 1)
@@ -131,10 +122,10 @@ def _random_theta(rng: Lcg, r: Rep, gens):
         m = gens[word[0]]
         for k in word[1:]:
             m = mat_mul(m, gens[k])
-        term = scalar_mul(coeff, m)
-        theta = term if theta is None else mat_add(theta, term)
+        theta = [[add(t, mul(coeff, x)) for t, x in zip(trow, mrow)]
+                 for trow, mrow in zip(theta, m.rows)]
         recipe.append({"coeff": coeff, "word": word})
-    return theta, recipe
+    return Mat._new(field, theta), recipe
 
 
 def _kernel_lines(field, kernel_vectors):
@@ -170,14 +161,6 @@ def _kernel_lines(field, kernel_vectors):
     return lines
 
 
-def _split_from_rows(r: Rep, rows_mat: Mat, draws: int, certificate: dict) -> SplitResult:
-    basis_cols = transpose(rows_mat)
-    sub = _restrict(r, rows_mat)
-    quot = _quotient(r, rows_mat)
-    return SplitResult("split", basis=basis_cols, sub_rep=sub, quot_rep=quot,
-                       draws=draws, certificate=certificate)
-
-
 def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> SplitResult:
     """Norton/Parker test; raises MeataxeInconclusive after the draw budget."""
     if r.dim < 1:
@@ -207,7 +190,8 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
                 proper = spun
                 break
         if proper is not None:
-            return _split_from_rows(r, proper, draw, cert)
+            return SplitResult("split", sub_rep=_restrict(r, proper),
+                               draws=draw, certificate=cert)
         if dual_gens is None:
             dual_gens = dual_rep(r).gens
         dual_kernel = null_space(transpose(theta))
@@ -219,7 +203,8 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
         # annihilator of a stable dual subspace is a stable subspace
         ann = null_space(dual_spun)
         ann_rows, _, _ = rref(Mat._new(field, [list(v) for v in ann]))
-        return _split_from_rows(r, ann_rows, draw, cert)
+        return SplitResult("split", sub_rep=_restrict(r, ann_rows),
+                           draws=draw, certificate=cert)
     raise MeataxeInconclusive(
         f"no verdict after {budget} draws (seed {seed}); raise the budget "
         "or vary the seed")
@@ -252,31 +237,6 @@ def _restrict(r: Rep, rows_mat: Mat) -> Rep:
     return Rep(r.group, field, s, gens, embed=r.embed)
 
 
-def _quotient(r: Rep, rows_mat: Mat) -> Rep:
-    """Action on the quotient by the row space (basis: non-pivot columns)."""
-    field = r.field
-    _, _, pivots = rref(rows_mat)
-    pivot_set = set(pivots)
-    free = [j for j in range(r.dim) if j not in pivot_set]
-    rows = rows_mat.rows
-    sub, mul = field.sub, field.mul
-    gens = []
-    for m in r.gens:
-        cols = []
-        for j in free:
-            y = [m.rows[i][j] for i in range(r.dim)]
-            for t, p in enumerate(pivots):
-                c = y[p]
-                if c:
-                    row = rows[t]
-                    y = [sub(a, mul(c, x)) for a, x in zip(y, row)]
-            cols.append([y[qc] for qc in free])
-        k = len(free)
-        gens.append(Mat._new(field, [[cols[t][u] for t in range(k)]
-                                     for u in range(k)]))
-    return Rep(r.group, field, len(free), gens, embed=r.embed)
-
-
 def simple_submodule(r: Rep, seed: int = 0) -> Rep:
     """Descend through splits until an irreducible submodule remains."""
     res = is_irreducible(r, seed)
@@ -299,9 +259,9 @@ def splitting_extension(r: Rep, seed: int = 0):
     dimension, and r splits over GF(q^e) into absolutely irreducible
     pieces, none of which exists over a smaller extension.
     """
-    e = hom_space(r, r).dim
+    e = len(hom_space(r, r))
     s = simple_submodule(extend_scalars(r, e), seed)
-    if hom_space(s, s).dim != 1:
+    if len(hom_space(s, s)) != 1:
         raise TheoremViolation("simple piece over the splitting field is "
                                "not absolutely irreducible")
     return e, s

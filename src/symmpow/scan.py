@@ -49,7 +49,7 @@ class OccurrenceTable:
 
 def _scan_one(v: Rep, w: Rep, m: int):
     sym = sym_power(v, m)
-    return m, hom_space(w, sym).dim, hom_space(sym, w).dim
+    return m, len(hom_space(w, sym)), len(hom_space(sym, w))
 
 
 def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
@@ -249,10 +249,11 @@ class TheoremReport:
 
 
 def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
-                   label: str = "") -> TheoremReport:
+                   label: str = "") -> TheoremReport | None:
     """Run the whole argument for one module and check every step.
 
-    Certifies irreducibility, scans with ``scan_module`` (which also runs
+    Certifies irreducibility (a reducible module has no guaranteed
+    occurrence and gets None), scans with ``scan_module`` (which also runs
     the character oracle), extends scalars to a splitting field, builds
     constructive certificates from a simple quotient (for the submodule
     claim) and a simple submodule (for the quotient claim), descends both
@@ -262,8 +263,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     opts = options or VerifyOptions()
     res = is_irreducible(w, opts.seed)
     if not res.irreducible:
-        raise ValueError("input module is reducible; only irreducible "
-                         "modules have guaranteed occurrences")
+        return None
 
     table = scan_module(v, w, opts, label)
     m_max = len(table.rows)

@@ -92,7 +92,7 @@ def test_criterion_3_sl2_small_symmetric_powers():
         for a in range(p):
             for b in range(p):
                 if a != b:
-                    ok = ok and sp.hom_space(powers[a], powers[b]).dim == 0
+                    ok = ok and not sp.hom_space(powers[a], powers[b])
         if p > 1:
             table = sp.occurrence_scan(v, powers[p - 1], m_max=p - 1)
             ok = ok and table.minimal_sub_m == p - 1
@@ -152,8 +152,10 @@ def test_criterion_6_hom_dimensions_survive_extension(sweep):
         for i, u in enumerate(mods):
             for j, w in enumerate(mods):
                 e = es[(i + j) % 3]
-                d0, d1, same = sp.verify_extension_invariance(u, w, e)
-                ok = ok and same and d0 == d1
+                d0 = len(sp.hom_space(u, w))
+                d1 = len(sp.hom_space(sp.extend_scalars(u, e),
+                                      sp.extend_scalars(w, e)))
+                ok = ok and d0 == d1
                 pairs += 1
     ok = ok and pairs >= 10
     _emit(6, ok, f"hom dimension unchanged under scalar extension for "

@@ -203,6 +203,22 @@ def test_inconclusive_exits_5(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_construct_runs_the_meataxe_once_per_module(capsys, monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0].dim)
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(cli, "is_irreducible", counting(cli.is_irreducible))
+    monkeypatch.setattr(scan, "is_irreducible", counting(scan.is_irreducible))
+    assert run(["construct", "--k-max", "0", "--input",
+                str(PROBLEMS / "s3_gf7.json")]) == 0
+    assert sorted(calls) == [1, 1, 2]   # each of the three modules once
+    capsys.readouterr()
+
+
 def test_internal_violation_exits_6(tmp_path, capsys, monkeypatch):
     def fake(v, w, options=None, label=""):
         raise TheoremViolation("verified identity failed: synthetic")

@@ -126,3 +126,19 @@ def test_field_equality_and_bad_inputs():
         sp.make_field(7, 0)
     with pytest.raises(ValueError):
         sp.make_field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (3, 2), (2, 4), (5, 3), (2, 8),
+                                 (3, 6), (31, 2), (3, 10)])
+def test_exp_log_generator_is_least_primitive_code(p, f):
+    F = sp.make_field(p, f)
+    q = F.q
+    gen = F._exp[1]
+    # the tables walk all of GF(q)* by repeated raw multiplication, so the
+    # table-backed mul that mult_order uses is the field's own
+    assert sorted(F._exp) == list(range(1, q))
+    for k in range(0, q - 1, max(1, q // 97)):
+        assert F._exp[(k + 1) % (q - 1)] == F._raw_mul(F._exp[k], gen)
+        assert F._log[F._exp[k]] == k
+    assert sp.mult_order(F, gen) == q - 1
+    assert all(sp.mult_order(F, c) < q - 1 for c in range(2, gen))

@@ -86,14 +86,13 @@ def test_product_and_inverse_tables(sl23):
             assert group.elements[group.prod(a, b)] == lhs
 
 
-def test_words_replay_to_elements(s3):
+def test_edges_replay_to_elements(s3):
     group, _, _ = s3
-    for i, word in enumerate(group.words):
-        m = identity(group.field, group.dim)
-        for k in word:
-            m = mat_mul(m, group.generators[k])
-        assert m == group.elements[i]
-    assert group.words[0] == ()
+    assert group.elements[0] == identity(group.field, group.dim)
+    for i, row in enumerate(group.edges):
+        for k, j in enumerate(row):
+            assert group.elements[j] == mat_mul(group.elements[i],
+                                                group.generators[k])
 
 
 def test_transversal_decomposition(q8):

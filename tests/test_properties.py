@@ -136,4 +136,4 @@ def test_meataxe_verdict_ignores_seed(seed):
     assert sp.is_irreducible(Q8_V, seed=seed).irreducible
     res = sp.is_irreducible(PERM, seed=seed)
     assert not res.irreducible
-    assert res.sub_rep.dim + res.quot_rep.dim == 3
+    assert 0 < res.sub_rep.dim < 3

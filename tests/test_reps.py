@@ -7,7 +7,7 @@ import pytest
 
 import symmpow as sp
 from symmpow.fields import extend_field
-from symmpow.linalg import Mat, identity, mat_mul, mat_vec, scalar_mat, transpose
+from symmpow.linalg import Mat, identity, mat_mul, mat_vec, transpose
 from symmpow.reps import _sym_image, hom_defect_count
 
 
@@ -153,7 +153,9 @@ def test_induced_from_center(q8):
     assert hom_defect_count(ind) == 0
     # the center acts by its character on the induced module
     z = group.z_generator_index
-    assert ind.images[z] == scalar_mat(group.field, 4, group.lam)
+    assert ind.images[z] == Mat(group.field, [[group.lam if i == j else 0
+                                                for j in range(4)]
+                                               for i in range(4)])
     # monomial shape: one nonzero entry per column
     for im in ind.images:
         for j in range(4):

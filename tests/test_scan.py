@@ -116,8 +116,8 @@ def test_verify_theorem_non_absolute_case(c3_gf2):
 def test_verify_theorem_rejects_reducible(s3_perm):
     group, perm = s3_perm
     v = sp.defining_rep(group)
-    with pytest.raises(ValueError):
-        sp.verify_theorem(v, perm)
+    # a reducible module has no guaranteed occurrence, so no report
+    assert sp.verify_theorem(v, perm) is None
 
 
 def test_molien_options_flow(s3):
