@@ -7,6 +7,11 @@ lowest degree first.  For f = 1 an element is simply its residue mod p.
 The encoding makes equality, hashing and serialization trivial and lets the
 hot paths (Gaussian elimination, polynomial expansion) run on machine ints.
 
+Extensions come in two regimes.  Up to q = 2^16 every operation is a lookup
+in three O(q) tables over the least generator g of GF(q)*: exp, log, and
+the Zech logarithm Z with 1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).
+Larger fields decode both operands to coefficient vectors on every call.
+
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree f over Z_p, coefficients compared lowest degree first,
 unless the caller supplies one explicitly.  For f = 1 the modulus is the
@@ -18,26 +23,11 @@ from __future__ import annotations
 
 import itertools
 
-# Sizes below which lookup tables are precomputed.  Exp/log tables cost O(q)
-# ints, the addition table O(q^2); beyond the limits a slower decode-based
-# path keeps the contract correct for any q <= 2**31.
+# Largest q served by the exp/log/Zech tables; larger extensions, up to the
+# 2^31 guard, take the decode path.
 _EXP_LOG_LIMIT = 1 << 16
-_ADD_TABLE_LIMIT = 1 << 10
 
 _ORDER_LIMIT = 1 << 31
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _prime_factors(n: int):
@@ -120,7 +110,7 @@ class FieldSpec:
     __slots__ = (
         "p", "f", "q", "modulus",
         "add", "sub", "neg", "mul", "inv", "pow",
-        "_coeff_table", "_exp", "_log",
+        "_exp", "_log",
     )
 
     def __init__(self, p: int, f: int, modulus):
@@ -128,6 +118,7 @@ class FieldSpec:
         self.f = f
         self.q = p ** f
         self.modulus = tuple(modulus)
+        self._exp = self._log = None
         if f == 1:
             self._setup_prime()
         else:
@@ -162,9 +153,6 @@ class FieldSpec:
 
         self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
             add, sub, neg, mul, inv, pw)
-        self._coeff_table = None
-        self._exp = None
-        self._log = None
 
     def _raw_coeffs(self, a):
         p, f = self.p, self.f
@@ -233,114 +221,98 @@ class FieldSpec:
         return self._raw_encode(coeffs[: self.f])
 
     def _setup_extension(self):
-        p, f, q = self.p, self.f, self.q
-        small = q <= _EXP_LOG_LIMIT
-        self._coeff_table = (
-            [tuple(self._raw_coeffs(a)) for a in range(q)] if small else None)
+        p, q = self.p, self.q
+        if q > _EXP_LOG_LIMIT:
+            mul, inv, code, enc = (
+                self._raw_mul, self._raw_inv, self._raw_coeffs, self._raw_encode)
 
-        if small:
-            exp, log = self._build_exp_log()
-        else:
-            exp = log = None
-        self._exp, self._log = exp, log
+            def add(a, b):
+                return enc([(x + y) % p for x, y in zip(code(a), code(b))])
 
-        if exp is not None:
-            qm1 = q - 1
+            def sub(a, b):
+                return enc([(x - y) % p for x, y in zip(code(a), code(b))])
 
-            def mul(a, b):
-                if a == 0 or b == 0:
-                    return 0
-                return exp[(log[a] + log[b]) % qm1]
-
-            def inv(a):
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero")
-                return exp[(qm1 - log[a]) % qm1]
-
-            def pw(a, e):
-                if a == 0:
-                    if e == 0:
-                        return 1
-                    if e < 0:
-                        raise ZeroDivisionError("inverse of zero")
-                    return 0
-                return exp[(log[a] * e) % qm1]
-        else:
-            mul = self._raw_mul
-            inv = self._raw_inv
+            def neg(a):
+                return enc([(-c) % p for c in code(a)])
 
             def pw(a, e):
                 if e < 0:
                     a, e = inv(a), -e
                 return _square_multiply(mul, a, e)
 
-        if p == 2:
-            def add(a, b):
-                return a ^ b
+            self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
+                add, sub, neg, mul, inv, pw)
+            return
 
-            def neg(a):
-                return a
-
-            def sub(a, b):
-                return a ^ b
-        else:
-            coeff = self._coeff_table
-            if coeff is not None and q <= _ADD_TABLE_LIMIT:
-                table = [0] * (q * q)
-                for a in range(q):
-                    ca = coeff[a]
-                    row = a * q
-                    for b in range(q):
-                        cb = coeff[b]
-                        table[row + b] = self._raw_encode(
-                            [(x + y) % p for x, y in zip(ca, cb)])
-
-                def add(a, b):
-                    return table[a * q + b]
-            elif coeff is not None:
-                def add(a, b):
-                    return self._raw_encode(
-                        [(x + y) % p for x, y in zip(coeff[a], coeff[b])])
-            else:
-                def add(a, b):
-                    return self._raw_encode(
-                        [(x + y) % p
-                         for x, y in zip(self._raw_coeffs(a), self._raw_coeffs(b))])
-
-            neg_table = [
-                self._raw_encode([(-c) % p for c in self._raw_coeffs(a)])
-                for a in range(q)] if small else None
-            if neg_table is not None:
-                def neg(a):
-                    return neg_table[a]
-            else:
-                def neg(a):
-                    return self._raw_encode(
-                        [(-c) % p for c in self._raw_coeffs(a)])
-
-            def sub(a, b):
-                return add(a, neg(b))
-
-        self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
-            add, sub, neg, mul, inv, pw)
-
-    def _build_exp_log(self):
-        """Exp/log tables for the least code of order q - 1: the first c
-        with c^((q-1)/r) != 1 for every prime r dividing q - 1."""
-        q = self.q
+        # exp/log over the least code of order q - 1: the first c with
+        # c^((q-1)/r) != 1 for every prime r dividing q - 1
         qm1 = q - 1
         cofactors = [qm1 // r for r in _prime_factors(qm1)]
         gen = next(c for c in range(2, q)
                    if all(_square_multiply(self._raw_mul, c, e) != 1
                           for e in cofactors))
-        exp = [1] * qm1
-        log = [0] * q
+        exp = self._exp = [1] * qm1
+        log = self._log = [0] * q
         x = 1
         for k in range(1, qm1):
             x = self._raw_mul(x, gen)
             exp[k] = x
             log[x] = k
-        return exp, log
+        # exponents are summed unreduced and looked up in the doubled tables;
+        # a negative index wraps mod q - 1 by itself
+        exp2 = exp + exp
+        # Zech logarithms: 1 + g^k = g^zech[k], and -1 where 1 + g^k = 0;
+        # adding 1 to a code only changes its constant coefficient
+        zech = []
+        for x in exp:
+            y = x - x % p + (x + 1) % p
+            zech.append(log[y] if y else -1)
+        zech += zech
+        half = log[p - 1]  # -1 = g^half; 0 for p = 2
+
+        def add(a, b):
+            # a + b = a * (1 + b/a)
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp2[la + z] if z >= 0 else 0
+
+        def sub(a, b):
+            if b == 0:
+                return a
+            if a == 0:
+                return exp2[log[b] + half]
+            la = log[a]
+            z = zech[log[b] + half - la]
+            return exp2[la + z] if z >= 0 else 0
+
+        def neg(a):
+            return exp2[log[a] + half] if a else 0
+
+        def mul(a, b):
+            if a == 0 or b == 0:
+                return 0
+            return exp2[log[a] + log[b]]
+
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return exp[-log[a]]
+
+        def pw(a, e):
+            if a == 0:
+                if e == 0:
+                    return 1
+                if e < 0:
+                    raise ZeroDivisionError("inverse of zero")
+                return 0
+            return exp[(log[a] * e) % qm1]
+
+        self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
+            add, sub, neg, mul, inv, pw)
 
     # element codecs -------------------------------------------------------
 
@@ -348,8 +320,6 @@ class FieldSpec:
         """Coefficient vector (length f, lowest degree first) of element a."""
         if not 0 <= a < self.q:
             raise ValueError(f"element code {a} out of range for {self!r}")
-        if self._coeff_table is not None:
-            return list(self._coeff_table[a])
         return self._raw_coeffs(a)
 
     def element(self, coeffs) -> int:
@@ -362,9 +332,6 @@ class FieldSpec:
             if not isinstance(c, int) or not 0 <= c < self.p:
                 raise ValueError(f"coefficient {c} not a residue mod {self.p}")
         return self._raw_encode(coeffs)
-
-    def elements(self):
-        return range(self.q)
 
     # dunder ---------------------------------------------------------------
 
@@ -398,7 +365,7 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldSpec:
     # it for every p, without forming a huge power
     if f > 31 or p ** f > _ORDER_LIMIT:
         raise ValueError(f"field order {p}^{f} exceeds the 2^31 guard")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"p must be prime, got {p}")
     if modulus is not None:
         modulus = tuple(modulus)

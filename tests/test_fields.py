@@ -1,6 +1,8 @@
-"""Field construction and arithmetic against small hand oracles."""
+"""Field construction and arithmetic against hand and coefficient-list
+oracles."""
 
 import itertools
+import random
 
 import pytest
 
@@ -142,3 +144,74 @@ def test_exp_log_generator_is_least_primitive_code(p, f):
         assert F._log[F._exp[k]] == k
     assert sp.mult_order(F, gen) == q - 1
     assert all(sp.mult_order(F, c) < q - 1 for c in range(2, gen))
+
+
+def oracle_coeffs(a, p, f):
+    return [a // p ** k % p for k in range(f)]
+
+
+def oracle_code(coeffs, p):
+    return sum(c * p ** k for k, c in enumerate(coeffs))
+
+
+def oracle_mul(a, b, p, f, modulus):
+    # schoolbook product of the coefficient lists, reduced by the modulus
+    ca, cb = oracle_coeffs(a, p, f), oracle_coeffs(b, p, f)
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return oracle_code(naive_poly_rem(prod, list(modulus), p), p)
+
+
+def check_against_oracle(F, pairs, exponents):
+    p, f, mod = F.p, F.f, F.modulus
+    for a, b in pairs:
+        ca, cb = oracle_coeffs(a, p, f), oracle_coeffs(b, p, f)
+        assert F.add(a, b) == oracle_code(
+            [(x + y) % p for x, y in zip(ca, cb)], p)
+        assert F.sub(a, b) == oracle_code(
+            [(x - y) % p for x, y in zip(ca, cb)], p)
+        assert F.neg(b) == oracle_code([(-y) % p for y in cb], p)
+        assert F.mul(a, b) == oracle_mul(a, b, p, f, mod)
+        if a == 0:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        else:
+            assert oracle_mul(a, F.inv(a), p, f, mod) == 1
+    top = max(abs(e) for e in exponents)
+    for a in {a for a, _ in pairs}:
+        powers = [1]
+        for _ in range(top):
+            powers.append(oracle_mul(powers[-1], a, p, f, mod))
+        for e in exponents:
+            if e >= 0:
+                assert F.pow(a, e) == powers[e]
+            elif a == 0:
+                with pytest.raises(ZeroDivisionError):
+                    F.pow(a, e)
+            else:
+                assert oracle_mul(F.pow(a, e), powers[-e], p, f, mod) == 1
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                 (7, 2)])
+def test_small_extensions_match_the_oracle_exhaustively(p, f):
+    # every extension field a benchmark workload builds, up to GF(49)
+    F = sp.make_field(p, f)
+    q = F.q
+    check_against_oracle(F, list(itertools.product(range(q), repeat=2)),
+                         (-q - 1, -2, -1, 0, 1, 2, q - 1, q + 1))
+
+
+@pytest.mark.parametrize("p,f", [(31, 2), (3, 6), (2, 10), (5, 7), (2, 17)])
+def test_larger_extensions_match_the_oracle_on_samples(p, f):
+    # GF(5^7) and GF(2^17) lie past the exp/log/Zech tables
+    F = sp.make_field(p, f)
+    rng = random.Random(f"{p}^{f}")
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+    # zero operands, a - a = 0, and a + (-a) = 0
+    a = F.q - 1
+    minus_a = oracle_code([(-c) % p for c in oracle_coeffs(a, p, f)], p)
+    pairs += [(0, 0), (0, a), (a, 0), (a, a), (a, minus_a)]
+    check_against_oracle(F, pairs, (-3, -1, 0, 1, 2, 5))

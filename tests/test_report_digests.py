@@ -3,7 +3,10 @@
 Each entry holds the sha256 of the ``--out`` report, the sha256 of the
 stdout summary and the exit code of one corpus operation: ``check`` and
 ``scan`` on every document in ``problems/``, and ``construct`` on those
-of group order at most 60.  A refactor that is meant to leave every
+of group order at most 60.  Two operations of the benchmark, on documents
+of ``bench/inputs.py`` in their shipped bases, are pinned the same way:
+they reach the deepest extension fields (GF(27) certificates and the
+GF(49) Molien oracle).  A refactor that is meant to leave every
 answer alone must leave these digests alone.  After a deliberate change
 of output, print the new table with
 
@@ -12,7 +15,9 @@ of output, print the new table with
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import pathlib
 import tempfile
 
@@ -20,7 +25,9 @@ import pytest
 
 import symmpow.cli as cli
 
-PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "problems"
+BENCH_INPUTS = ROOT / "bench" / "inputs.py"
 
 # (command, document stem): (report sha256, stdout sha256, exit code)
 DIGESTS = {
@@ -96,18 +103,43 @@ DIGESTS = {
 }
 
 
+# (command, bench document, flags): (report sha256, stdout sha256, exit code)
+BENCH_DIGESTS = {
+    ("construct", "gl2_3_gf3_defining", ("--k-max", "0")): (
+        "0f4293d4af4663a528ef6fb00a0a4415d8e2f049912cb9b2eb3efb95c9e6330c",
+        "fc8e9988530e7719f1d0904956d0eab063b6bd105dc31aea13981060bd85f2df", 0),
+    ("scan", "b3_gf7", ("--m-max", "8", "--molien", "on")): (
+        "e8f2f3c5e4f6fe1181b9f483c5e0b17d7fe4f95e1e28e047679d5739826ce951",
+        "55b1e0cb4389b2aade3dc71eb9e60add0f3c38c8be2ab3e0f006010596645860", 0),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digest(command: str, stem: str):
+def run_digest(command: str, stem: str, flags=()):
+    """Digests of one operation on problems/<stem>.json, or on the bench
+    document of that name when no such file is shipped."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = pathlib.Path(tmp) / "report.json"
+        tmp = pathlib.Path(tmp)
+        doc = PROBLEMS / f"{stem}.json"
+        if not doc.exists():
+            doc = tmp / f"{stem}.json"
+            doc.write_text(json.dumps(_bench_inputs().load_doc(stem)) + "\n")
+        out = tmp / "report.json"
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main([command, "--input", str(PROBLEMS / f"{stem}.json"),
-                             "--out", str(out)])
+            code = cli.main([command, "--input", str(doc), "--out", str(out),
+                             *flags])
         return _sha(out.read_bytes()), _sha(buf.getvalue().encode()), code
+
+
+def _bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def corpus_operations():
@@ -129,8 +161,18 @@ def test_report_bytes_are_pinned(command, stem):
     assert run_digest(command, stem) == DIGESTS[command, stem]
 
 
+@pytest.mark.parametrize("command,stem,flags", sorted(BENCH_DIGESTS))
+def test_bench_report_bytes_are_pinned(command, stem, flags):
+    assert run_digest(command, stem, flags) == BENCH_DIGESTS[command, stem, flags]
+
+
 if __name__ == "__main__":
     for op in corpus_operations():
         report, stdout, code = run_digest(*op)
         print(f'    ("{op[0]}", "{op[1]}"): (\n        "{report}",\n'
+              f'        "{stdout}", {code}),')
+    for op in (("construct", "gl2_3_gf3_defining", ("--k-max", "0")),
+               ("scan", "b3_gf7", ("--m-max", "8", "--molien", "on"))):
+        report, stdout, code = run_digest(*op)
+        print(f'    {op!r}: (\n        "{report}",\n'
               f'        "{stdout}", {code}),')
