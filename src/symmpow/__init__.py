@@ -8,10 +8,10 @@ from .linalg import (Mat, identity, mat_inv, mat_mul, mat_vec, null_space,
                      rank, rref, transpose)
 from .groups import (GroupData, build_group, center_scalars, coset_transversal,
                      enumerate_group)
-from .reps import (MonomialBasis, PolyVec, Rep, apply_to_poly, defining_rep,
-                   dual_rep, extend_scalars, induced_from_center,
-                   monomial_basis, paired_rep, poly_from_vector, poly_mul,
-                   poly_one, poly_pow, restrict_scalar_character, sym_power)
+from .reps import (MonomialBasis, PolyVec, Rep, defining_rep, dual_rep,
+                   extend_scalars, induced_from_center, monomial_basis,
+                   paired_rep, poly_from_vector, poly_mul, poly_one, poly_pow,
+                   restrict_scalar_character, sym_power)
 from .homs import hom_space
 from .meataxe import (Lcg, SplitResult, is_irreducible, simple_quotient,
                       simple_submodule, splitting_extension)
@@ -31,9 +31,9 @@ __all__ = [
     "rref", "transpose",
     "GroupData", "build_group", "center_scalars", "coset_transversal",
     "enumerate_group",
-    "MonomialBasis", "PolyVec", "Rep", "apply_to_poly", "defining_rep",
-    "dual_rep", "extend_scalars", "induced_from_center", "monomial_basis",
-    "paired_rep", "poly_from_vector", "poly_mul", "poly_one", "poly_pow",
+    "MonomialBasis", "PolyVec", "Rep", "defining_rep", "dual_rep",
+    "extend_scalars", "induced_from_center", "monomial_basis", "paired_rep",
+    "poly_from_vector", "poly_mul", "poly_one", "poly_pow",
     "restrict_scalar_character", "sym_power",
     "hom_space",
     "Lcg", "SplitResult", "is_irreducible", "simple_quotient",

@@ -43,10 +43,9 @@ from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
 
 SCHEMA = "symmpow-v1"
 
-# integer options and their least allowed value; jobs is accepted and
-# ignored (scans run in one thread)
+# integer options and their least allowed value
 _INT_OPTIONS = {"m_max": 1, "k_max": 0, "seed": 0, "cap_group": 1,
-                "cap_dim": 1, "jobs": 1}
+                "cap_dim": 1}
 _OPTION_KEYS = set(_INT_OPTIONS) | {"molien"}
 
 
@@ -80,12 +79,10 @@ def decode_element(field: FieldSpec, obj, where: str) -> int:
         return obj
     if not isinstance(obj, list) or len(obj) != field.f:
         _fail(f"{where}: expected a coefficient list of length {field.f}")
-    code = 0
-    for t, c in enumerate(reversed(obj)):
+    for c in obj:
         if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < field.p:
             _fail(f"{where}: coefficient {c!r} out of range for GF({field.p})")
-        code = code * field.p + c
-    return code
+    return field.element(obj)
 
 
 def decode_matrix(field: FieldSpec, obj, where: str) -> Mat:
@@ -430,7 +427,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cap-group", type=int, dest="cap_group")
     p.add_argument("--cap-dim", type=int, dest="cap_dim")
     p.add_argument("--molien", choices=("auto", "on", "off"))
-    p.add_argument("--jobs", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

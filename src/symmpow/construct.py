@@ -38,7 +38,7 @@ from math import lcm
 
 from .errors import TheoremViolation
 from .fields import FieldSpec, extend_field
-from .groups import GroupData, center_scalars, coset_transversal, scalar_of
+from .groups import GroupData, scalar_of
 from .homs import hom_space
 from .linalg import Mat, mat_mul, mat_vec, rank, transpose
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
@@ -49,16 +49,16 @@ from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
 _MAX_EXTENSION_SWEEP = 64
 
 
+def _ratio(field: FieldSpec, y, x):
+    """The c with y = c * x for the nonzero vector x, or None."""
+    i0 = next(i for i, c in enumerate(x) if c)
+    c = field.mul(y[i0], field.inv(x[i0]))
+    return c if all(yi == field.mul(c, xi) for yi, xi in zip(y, x)) else None
+
+
 def is_generic_vector(images, v) -> bool:
     """True when no matrix in images maps v to a scalar multiple of v."""
-    field = images[0].field if images else None
-    for m in images:
-        u = mat_vec(m, v)
-        i0 = next(i for i, c in enumerate(v) if c)
-        lam = field.mul(u[i0], field.inv(v[i0]))
-        if all(ui == field.mul(lam, vi) for ui, vi in zip(u, v)):
-            return False
-    return True
+    return all(_ratio(m.field, mat_vec(m, v), v) is None for m in images)
 
 
 def find_generic_vector(group: GroupData, v_rep: Rep):
@@ -68,8 +68,6 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
     Returns (v, field) and caches it on the group.  Termination: once q^e
     exceeds |G| the union of the eigenspaces cannot cover the whole space.
     """
-    if group.z_indices is None:
-        center_scalars(group)
     if group.center_order == group.order:
         raise ValueError("group acts by scalars; every vector is fixed")
     if group.generic is not None:
@@ -93,8 +91,6 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
 def build_coset_products(v, group: GroupData, v_rep: Rep):
     """Per coset c: the product over all other cosets c' of the linear
     form of (transversal representative of c') applied to v."""
-    if group.transversal is None:
-        coset_transversal(group)
     field = v_rep.field
     lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v)))
              for h in group.transversal]
@@ -172,11 +168,6 @@ def assemble(w: Rep, k: int = 0,
     if k < 0:
         raise ValueError("shift must be nonnegative")
     group = w.group
-    if group.z_indices is None:
-        center_scalars(group)
-    if group.transversal is None:
-        coset_transversal(group)
-
     scalar_flag, t = restrict_scalar_character(w)
     if not scalar_flag:
         raise ValueError("center does not act by scalars on this module "
@@ -207,9 +198,9 @@ def assemble(w: Rep, k: int = 0,
     _require(flags, "coset_powers_independent",
              check_independence(coset_products, j))
 
-    transversal_lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v_t)))
-                         for h in group.transversal]
-    transversal_product = reduce(poly_mul, transversal_lines)
+    # coset 0 is the identity coset, so F_0 lacks exactly the line of v
+    transversal_product = poly_mul(coset_products[0],
+                                   poly_from_vector(field, list(v_t)))
     orbit_product = reduce(poly_mul, (
         poly_from_vector(field, mat_vec(v_rep.images[g], list(v_t)))
         for g in range(order)))
@@ -236,24 +227,18 @@ def assemble(w: Rep, k: int = 0,
     # generators is a module homomorphism
     sym_rep = sym_power(v_rep, total_degree)
 
-    lead = [next(i for i, c in enumerate(p.coeffs) if c) for p in span_polys]
     span_gens = []
-    perm_ok = True
     for g, sym_g in zip(group.generator_indices, sym_rep.gens):
         img_rows = [[0] * n_span for _ in range(n_span)]
         for c in range(n_span):
             y = mat_vec(sym_g, span_polys[c].coeffs)
             c2 = group.coset_of[group.prod(g, group.transversal[c])]
-            pc2 = span_polys[c2].coeffs
-            ratio = field.mul(y[lead[c2]], field.inv(pc2[lead[c2]]))
-            if any(yi != field.mul(ratio, pi) for yi, pi in zip(y, pc2)) or not ratio:
-                perm_ok = False
-                break
+            ratio = _ratio(field, y, span_polys[c2].coeffs)
+            if not ratio:
+                _require(flags, "coset_permutation", False)
             img_rows[c2][c] = ratio
-        if not perm_ok:
-            break
         span_gens.append(Mat._new(field, img_rows))
-    _require(flags, "coset_permutation", perm_ok)
+    _require(flags, "coset_permutation", True)
     span_rep = Rep(group, field, n_span, span_gens, embed=v_rep.embed)
     span_images = span_rep.images
 

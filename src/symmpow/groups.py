@@ -20,13 +20,13 @@ class GroupData:
     """Enumerated group together with its central scalar data and a fixed
     transversal of the scalar subgroup.
 
-    Attributes populated by :func:`enumerate_group`:
+    Every attribute but generic is populated by :func:`enumerate_group`:
       field, dim, generators, generator_indices, elements, index (matrix
       key -> element index), edges (edges[i][k] = index of
-      elements[i] @ generators[k]), inverse.
+      elements[i] @ generators[k]), inverse; z_indices, z_generator_index,
+      lam (by :func:`center_scalars`); transversal, coset_of (by
+      :func:`coset_transversal`).
 
-    Populated by :func:`center_scalars`: z_indices, z_generator_index, lam.
-    Populated by :func:`coset_transversal`: transversal, coset_of.
     Populated by :func:`symmpow.construct.find_generic_vector`: generic.
     """
 
@@ -82,7 +82,7 @@ class GroupData:
 
 
 def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
-    """Close the generator set under multiplication.
+    """Close the generators under multiplication; add center and cosets.
 
     Raises CapExceeded if more than ``cap`` elements appear, and ValueError
     for empty input, shape or field mismatches, or a singular generator.
@@ -128,8 +128,11 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
     for m in elements:
         inverse.append(index[mat_inv(m).key()])
     generator_indices = [index[g.key()] for g in gens]
-    return GroupData(field, n, gens, generator_indices,
-                     elements, index, edges, inverse)
+    group = GroupData(field, n, gens, generator_indices,
+                      elements, index, edges, inverse)
+    center_scalars(group)
+    coset_transversal(group)
+    return group
 
 
 def scalar_of(m: Mat):
@@ -148,11 +151,11 @@ def scalar_of(m: Mat):
 def center_scalars(group: GroupData):
     """Identify the subgroup of scalar matrices inside the group.
 
-    Returns (z_indices, z_generator_index, lam) and caches them on the
-    group.  The distinguished generator is the scalar element whose scalar
-    has maximal multiplicative order, ties broken by lowest element index;
-    lam is that scalar.  The scalars form a cyclic group, so the maximal
-    order equals the subgroup size.
+    Returns (z_indices, z_generator_index, lam) and stores them on the
+    group; enumerate_group calls it.  The distinguished generator is the
+    scalar element whose scalar has maximal multiplicative order, ties
+    broken by lowest element index; lam is that scalar.  The scalars form
+    a cyclic group, so the maximal order equals the subgroup size.
     """
     field = group.field
     z_indices = []
@@ -181,10 +184,9 @@ def coset_transversal(group: GroupData):
 
     Greedy sweep in element-index order: an element starts a new coset iff
     no earlier element lies in its coset.  Coset 0 is the identity coset.
-    Returns (transversal, coset_of) and caches them on the group.
+    Returns (transversal, coset_of) and stores them on the group;
+    enumerate_group calls it after center_scalars.
     """
-    if group.z_indices is None:
-        center_scalars(group)
     n_el = len(group.elements)
     coset_of = [None] * n_el
     transversal = []
@@ -203,8 +205,5 @@ def coset_transversal(group: GroupData):
 
 
 def build_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
-    """Enumerate, then attach scalar-center and transversal data."""
-    g = enumerate_group(generators, cap)
-    center_scalars(g)
-    coset_transversal(g)
-    return g
+    """The complete group on the generators; see :func:`enumerate_group`."""
+    return enumerate_group(generators, cap)

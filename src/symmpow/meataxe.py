@@ -18,6 +18,7 @@ the primal case, as the annihilator of the dual spin otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .errors import MeataxeInconclusive, TheoremViolation
 from .homs import hom_space
@@ -138,20 +139,14 @@ def _kernel_lines(field, kernel_vectors):
     count = (q ** k - 1) // (q - 1)
     if count > _LINE_LIMIT:
         return None
-    n = len(kernel_vectors[0])
     add, mul = field.add, field.mul
     lines = []
-    # leading-coefficient-1 combinations: first nonzero coefficient is 1
+    # 1 at lead, reversed(tail) after it: the first tail coefficient varies
+    # fastest, the order that check reports pin (primal_vector)
     for lead in range(k):
-        tail = k - lead - 1
-        for code in range(q ** tail):
-            coeffs = [0] * lead + [1]
-            c = code
-            for _ in range(tail):
-                coeffs.append(c % q)
-                c //= q
-            vec = [0] * n
-            for co, kv in zip(coeffs, kernel_vectors):
+        for tail in product(range(q), repeat=k - lead - 1):
+            vec = list(kernel_vectors[lead])
+            for co, kv in zip(reversed(tail), kernel_vectors[lead + 1:]):
                 if co:
                     for i, x in enumerate(kv):
                         if x:
@@ -215,7 +210,7 @@ def _restrict(r: Rep, rows_mat: Mat) -> Rep:
     field = r.field
     rows = rows_mat.rows
     s = rows_mat.nrows
-    _, _, pivots = rref(rows_mat)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
     sub, mul = field.sub, field.mul
     gens = []
     for m in r.gens:

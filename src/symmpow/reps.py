@@ -277,48 +277,6 @@ def sym_power(v: Rep, m: int) -> Rep:
     return Rep(v.group, v.field, len(basis), gens, embed=v.embed)
 
 
-def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
-    """Substitute g's linear forms into p and re-expand.
-
-    Agrees with applying the sym_power image matrix of g to p's coefficient
-    vector; both routes are kept because the agreement is a useful
-    cross-check.
-    """
-    if p.basis.n != v.dim:
-        raise ValueError("variable count does not match the representation")
-    if p.field != v.field:
-        raise ValueError("field mismatch")
-    field = v.field
-    n = v.dim
-    forms = _linear_forms(v.images[g_index])
-    pows = [[poly_one(field, n), forms[i]] for i in range(n)]
-
-    def power(i, k):
-        lst = pows[i]
-        while len(lst) <= k:
-            lst.append(poly_mul(lst[-1], forms[i]))
-        return lst[k]
-
-    add, mul = field.add, field.mul
-    out = [0] * len(p.basis)
-    for idx, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        alpha = p.basis.exponents[idx]
-        poly = None
-        for i, a in enumerate(alpha):
-            if a:
-                pw = power(i, a)
-                poly = pw if poly is None else poly_mul(poly, pw)
-        if poly is None:
-            out[0] = add(out[0], c)
-            continue
-        for k, x in enumerate(poly.coeffs):
-            if x:
-                out[k] = add(out[k], mul(c, x))
-    return PolyVec(field, p.basis, out)
-
-
 def dual_rep(r: Rep) -> Rep:
     """Contragredient action: g maps to the transpose of the inverse of its
     image."""
@@ -345,8 +303,6 @@ def restrict_scalar_character(w: Rep):
     when its image is not scalar.
     """
     group = w.group
-    if group.z_indices is None:
-        raise ValueError("center data missing; call center_scalars first")
     c = scalar_of(w.images[group.z_generator_index])
     if c is None:
         return False, None
@@ -363,8 +319,6 @@ def induced_from_center(group: GroupData, t: int, field: FieldSpec = None,
     matrix recording how left multiplication permutes cosets and which
     scalar falls out of the coset representative correction.
     """
-    if group.transversal is None:
-        raise ValueError("transversal missing; call coset_transversal first")
     if field is None:
         field = group.field
         embed = tuple(range(group.field.q))
@@ -382,16 +336,3 @@ def induced_from_center(group: GroupData, t: int, field: FieldSpec = None,
         gens.append(Mat._new(field, rows))
     return Rep(group, field, n, gens, embed=embed)
 
-
-def hom_defect_count(r: Rep) -> int:
-    """Number of pairs (a, b) where images[a] @ images[b] != images[ab].
-
-    Exhaustive; intended for tests at desk scale.
-    """
-    group = r.group
-    bad = 0
-    for a in range(len(group.elements)):
-        for b in range(len(group.elements)):
-            if mat_mul(r.images[a], r.images[b]) != r.images[group.prod(a, b)]:
-                bad += 1
-    return bad

@@ -56,10 +56,6 @@ def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
                     cap_dim: int = DEFAULT_DIM_CAP,
                     label: str = "") -> OccurrenceTable:
     """Hom dimensions in both directions for every degree up to m_max."""
-    if v.group is not w.group:
-        raise ValueError("modules must share a group")
-    if v.field != w.field:
-        raise ValueError("modules must share a field")
     group = v.group
     if m_max is None:
         m_max = group.order

@@ -1,0 +1,55 @@
+"""Reference routes that tests compare the library against.
+
+Each oracle recomputes something the library computes, by a separate and
+deliberately plain route, and is too slow for anything but desk-scale
+tests.
+"""
+
+from symmpow.linalg import mat_mul
+from symmpow.reps import PolyVec, Rep, monomial_basis, poly_mul, poly_one
+
+
+def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
+    """Substitute g's linear forms into p and re-expand.
+
+    Column i of g's image is the linear form that replaces x_i.  Agrees
+    with applying the sym_power image matrix of g to p's coefficient
+    vector, which builds its columns monomial by monomial instead.
+    """
+    if p.basis.n != v.dim:
+        raise ValueError("variable count does not match the representation")
+    if p.field != v.field:
+        raise ValueError("field mismatch")
+    field = v.field
+    n = v.dim
+    image = v.images[g_index]
+    basis1 = monomial_basis(n, 1)
+    forms = [PolyVec(field, basis1, [image.rows[r][i] for r in range(n)])
+             for i in range(n)]
+    add, mul = field.add, field.mul
+    out = [0] * len(p.basis)
+    for c, alpha in zip(p.coeffs, p.basis.exponents):
+        if not c:
+            continue
+        poly = poly_one(field, n)
+        for form, a in zip(forms, alpha):
+            for _ in range(a):
+                poly = poly_mul(poly, form)
+        for k, x in enumerate(poly.coeffs):
+            if x:
+                out[k] = add(out[k], mul(c, x))
+    return PolyVec(field, p.basis, out)
+
+
+def hom_defect_count(r: Rep) -> int:
+    """Number of pairs (a, b) where images[a] @ images[b] != images[ab].
+
+    Exhaustive over all pairs of group elements.
+    """
+    group = r.group
+    bad = 0
+    for a in range(len(group.elements)):
+        for b in range(len(group.elements)):
+            if mat_mul(r.images[a], r.images[b]) != r.images[group.prod(a, b)]:
+                bad += 1
+    return bad

@@ -118,7 +118,10 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     # flags are validated after they are merged into the options
     good = write_doc(tmp_path, S3_DOC, "good.json")
     assert run(["scan", "--input", good, "--m-max", "-3"]) == 2
-    assert run(["scan", "--input", good, "--jobs", "0"]) == 2
+    # an unknown flag is an argparse usage error, raised before main's try
+    with pytest.raises(SystemExit) as exc:
+        run(["scan", "--input", good, "--jobs", "0"])
+    assert exc.value.code == 2
     # the character oracle does not apply when p divides |G| (3 | 24)
     sl23 = str(PROBLEMS / "sl2_3_gf3.json")
     assert run(["scan", "--input", sl23, "--molien", "on"]) == 2
@@ -278,11 +281,6 @@ def test_cli_flags_override_document_options(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["m_max"] == 3
     assert all(len(m["rows"]) == 3 for m in report["modules"])
-    # jobs is accepted and ignored: the report does not change
-    again = tmp_path / "j.json"
-    assert run(["scan", "--input", doc, "--m-max", "3", "--jobs", "2",
-                "--out", str(again)]) == 0
-    assert again.read_bytes() == out.read_bytes()
     capsys.readouterr()
 
 

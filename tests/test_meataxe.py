@@ -4,7 +4,9 @@ import pytest
 
 import symmpow as sp
 from symmpow.linalg import rank
-from symmpow.reps import hom_defect_count
+from symmpow.meataxe import _LINE_LIMIT, _kernel_lines
+
+from oracles import hom_defect_count
 
 
 def embedding_of(sub, rep):
@@ -112,3 +114,39 @@ def test_splitting_extension_quadratic_case(c3_gf2):
     assert piece.dim == 1
     assert piece.field.q == 4
     assert len(sp.hom_space(piece, piece)) == 1
+
+
+def counter_lines(field, kernel_vectors):
+    """Kernel lines from a base-q counter over the tail coefficients,
+    least significant digit first: the order that check reports pin
+    through primal_vector and lines_checked."""
+    k, q, n = len(kernel_vectors), field.q, len(kernel_vectors[0])
+    lines = []
+    for lead in range(k):
+        tail = k - lead - 1
+        for code in range(q ** tail):
+            coeffs = [0] * lead + [1]
+            for _ in range(tail):
+                coeffs.append(code % q)
+                code //= q
+            vec = [0] * n
+            for co, kv in zip(coeffs, kernel_vectors):
+                vec = [field.add(a, field.mul(co, x)) for a, x in zip(vec, kv)]
+            lines.append(vec)
+    return lines
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_lines_follow_the_counter_order(p, f, k):
+    field = sp.make_field(p, f)
+    q = field.q
+    assert (q ** k - 1) // (q - 1) <= _LINE_LIMIT
+    # echelon rows: row i is 0 before column i, 1 at it, mixed after
+    n = k + 2
+    kernel = [[0] * i + [1] + [(i + 2 * j + 1) % q for j in range(n - i - 1)]
+              for i in range(k)]
+    lines = _kernel_lines(field, kernel)
+    assert lines == counter_lines(field, kernel)
+    assert len(lines) == (q ** k - 1) // (q - 1)
+    assert all(next(x for x in line if x) == 1 for line in lines)

@@ -6,9 +6,13 @@ stdout summary and the exit code of one corpus operation: ``check`` and
 of group order at most 60.  Two operations of the benchmark, on documents
 of ``bench/inputs.py`` in their shipped bases, are pinned the same way:
 they reach the deepest extension fields (GF(27) certificates and the
-GF(49) Molien oracle).  A refactor that is meant to leave every
-answer alone must leave these digests alone.  After a deliberate change
-of output, print the new table with
+GF(49) Molien oracle).  Two small documents written out below pin the
+construct paths that the corpus misses, where every splitting degree is
+1 over a prime field: a splitting degree of 2 (``c3_gf2``), and a group
+field with no generic vector, so that the certificate lands over a
+proper extension of a non-prime field (``s3_gf4``).  A refactor that is
+meant to leave every answer alone must leave these digests alone.  After
+a deliberate change of output, print the new table with
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
@@ -114,19 +118,63 @@ BENCH_DIGESTS = {
 }
 
 
+_ONE, _ZERO = [1, 0], [0, 0]    # GF(4) coefficient lists
+_S3_GF4_GENS = [[[_ONE, _ONE], [_ZERO, _ONE]], [[_ZERO, _ONE], [_ONE, _ZERO]]]
+
+# kept out of problems/, whose documents the corpus table must match
+INLINE_DOCS = {
+    "c3_gf2": {
+        "schema": "symmpow-v1",
+        "field": {"p": 2, "f": 1},
+        "generators": [[[0, 1], [1, 1]]],
+        "modules": [{"label": "defining", "images": [[[0, 1], [1, 1]]]}],
+    },
+    "s3_gf4": {
+        "schema": "symmpow-v1",
+        "field": {"p": 2, "f": 2},
+        "generators": _S3_GF4_GENS,
+        "modules": [{"label": "defining", "images": _S3_GF4_GENS},
+                    {"label": "trivial", "images": [[[_ONE]], [[_ONE]]]}],
+    },
+}
+
+# (command, inline document): (report sha256, stdout sha256, exit code)
+INLINE_DIGESTS = {
+    ("check", "c3_gf2"): (
+        "704b2096146407afcabe79d54d66f73f83513c4bf906927dcab2b27d5fd18a59",
+        "c67d185600f6182c047d01f5b12f3f64956306126197f5daee37c685b724df97", 0),
+    ("scan", "c3_gf2"): (
+        "4c1a4c538440501fbfa32bfdac789d8dc9801090b0f45cf29656a4c0c3a27a1a",
+        "4cda10f53be7a698afcfaf8f245edc0e14f38bf156529dc438bb62d2f0f73004", 0),
+    ("construct", "c3_gf2"): (
+        "3d7c00306e3a7152bf3c02be65ee8fbe2101f8fdc06b6e17929ba75f6f6203e9",
+        "242b6a1f6f94083d91d1ef3e6895f597d8dbdd6acdecd391a01ec53c3e90921f", 0),
+    ("check", "s3_gf4"): (
+        "3ac7ff41cefb63fd210d7be4812c1e653eb254f0e6a4da43a893f9907eba68e0",
+        "5775c8dad361666db882d430f07610f56f18afd02d9cf09368c2918a17cb0d61", 0),
+    ("scan", "s3_gf4"): (
+        "8eded4d10dd7ab308bd580cc8b47ff309ab5cf6dd701b508a1b716a46b05d495",
+        "f3d109869801e3b029e456e9fb75918ec3c69ac6bf42c19bcc2cc00d9ed6f180", 0),
+    ("construct", "s3_gf4"): (
+        "bc80d05bda4cd3ee9ea3520cc66ace8fa0265354c154796ceda520ad63bae57d",
+        "f2aa0f2c667f95f0627acc15ce7778dcf7251250641f0b0a5162ae8ea4cc3e81", 0),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def run_digest(command: str, stem: str, flags=()):
-    """Digests of one operation on problems/<stem>.json, or on the bench
-    document of that name when no such file is shipped."""
+    """Digests of one operation on problems/<stem>.json, or on the inline
+    or bench document of that name when no such file is shipped."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         doc = PROBLEMS / f"{stem}.json"
         if not doc.exists():
+            obj = INLINE_DOCS.get(stem) or _bench_inputs().load_doc(stem)
             doc = tmp / f"{stem}.json"
-            doc.write_text(json.dumps(_bench_inputs().load_doc(stem)) + "\n")
+            doc.write_text(json.dumps(obj) + "\n")
         out = tmp / "report.json"
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -161,6 +209,11 @@ def test_report_bytes_are_pinned(command, stem):
     assert run_digest(command, stem) == DIGESTS[command, stem]
 
 
+@pytest.mark.parametrize("command,stem", sorted(INLINE_DIGESTS))
+def test_inline_report_bytes_are_pinned(command, stem):
+    assert run_digest(command, stem) == INLINE_DIGESTS[command, stem]
+
+
 @pytest.mark.parametrize("command,stem,flags", sorted(BENCH_DIGESTS))
 def test_bench_report_bytes_are_pinned(command, stem, flags):
     assert run_digest(command, stem, flags) == BENCH_DIGESTS[command, stem, flags]
@@ -171,6 +224,11 @@ if __name__ == "__main__":
         report, stdout, code = run_digest(*op)
         print(f'    ("{op[0]}", "{op[1]}"): (\n        "{report}",\n'
               f'        "{stdout}", {code}),')
+    for stem in INLINE_DOCS:
+        for command in ("check", "scan", "construct"):
+            report, stdout, code = run_digest(command, stem)
+            print(f'    ("{command}", "{stem}"): (\n        "{report}",\n'
+                  f'        "{stdout}", {code}),')
     for op in (("construct", "gl2_3_gf3_defining", ("--k-max", "0")),
                ("scan", "b3_gf7", ("--m-max", "8", "--molien", "on"))):
         report, stdout, code = run_digest(*op)

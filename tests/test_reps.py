@@ -8,7 +8,9 @@ import pytest
 import symmpow as sp
 from symmpow.fields import extend_field
 from symmpow.linalg import Mat, identity, mat_mul, mat_vec, transpose
-from symmpow.reps import _sym_image, hom_defect_count
+from symmpow.reps import _sym_image
+
+from oracles import apply_to_poly, hom_defect_count
 
 
 def test_monomial_basis_order():
@@ -68,7 +70,7 @@ def test_apply_to_poly_moves_linear_forms(s3):
     for g in range(group.order):
         for w in ([1, 0], [0, 1], [2, 5], [3, 3]):
             lin = sp.poly_from_vector(F, w)
-            moved = sp.apply_to_poly(g, lin, v)
+            moved = apply_to_poly(g, lin, v)
             gw = mat_vec(v.images[g], w)
             assert moved == sp.poly_from_vector(F, gw)
 
@@ -80,7 +82,7 @@ def test_apply_to_poly_matches_sym_power_matrices(s3):
     cube = sp.poly_pow(lin, 3)
     s3m = sp.sym_power(v, 3)
     for g in range(group.order):
-        via_poly = sp.apply_to_poly(g, cube, v)
+        via_poly = apply_to_poly(g, cube, v)
         via_matrix = mat_vec(s3m.images[g], cube.coeffs)
         assert list(via_poly.coeffs) == list(via_matrix)
 
