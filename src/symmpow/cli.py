@@ -449,9 +449,9 @@ def main(argv=None) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
-            except ValueError as exc:
-                # bad JSON, bytes that are not UTF-8, or an integer past
-                # Python's digit limit
+            except (ValueError, RecursionError) as exc:
+                # bad JSON, bytes that are not UTF-8, an integer past
+                # Python's digit limit, or nesting past the recursion limit
                 raise ParseError(f"invalid JSON: {exc}")
         doc = parse_problem(obj)
         for key in _OPTION_KEYS:

@@ -12,7 +12,8 @@ suffices).  Every kernel line must spin to the full space, and one kernel
 vector of the transposed theta must spin to the full dual space under the
 contragredient action; together these certify irreducibility.  A proper
 spin on either side hands back an explicit stable subspace: directly in
-the primal case, as the annihilator of the dual spin otherwise.
+the primal case, as the annihilator of the dual spin otherwise.  Spins
+are rref closures, and all row arithmetic goes through linalg.
 """
 
 from __future__ import annotations
@@ -70,43 +71,20 @@ class SplitResult:
 
 
 def _spin(vec, gens, field, dim):
-    """Breadth-first closure of a vector under the given matrices.
+    """Closure of a vector under the given matrices, as canonical rref rows.
 
-    Returns the subspace in reduced row echelon form (rows are a canonical
-    basis).  Stops early once the whole space is reached.
+    Each round row-reduces the rows stacked over their images under every
+    generator, until the rank stops growing or fills the space.
     """
-    rows = []          # echelon rows, pivot-normalized, kept pivot-sorted
-    pivots = []
-    queue = []
-
-    def insert(y):
-        y = list(y)
-        for p, row in zip(pivots, rows):
-            c = y[p]
-            if c:
-                sub, mul = field.sub, field.mul
-                y = [sub(a, mul(c, b)) for a, b in zip(y, row)]
-        piv = next((i for i, c in enumerate(y) if c), None)
-        if piv is None:
-            return False
-        inv_c = field.inv(y[piv])
-        y = [field.mul(inv_c, c) for c in y]
-        at = next((t for t, p in enumerate(pivots) if p > piv), len(pivots))
-        pivots.insert(at, piv)
-        rows.insert(at, y)
-        queue.append(y)
-        return True
-
-    insert(vec)
-    qi = 0
-    while qi < len(queue) and len(rows) < dim:
-        v = queue[qi]
-        qi += 1
-        for g in gens:
-            if insert(mat_vec(g, v)) and len(rows) == dim:
-                break
-    reduced, _, _ = rref(Mat._new(field, rows))
-    return reduced
+    gens_t = [transpose(g) for g in gens]
+    rows, rank = [list(vec)], 0
+    while True:
+        reduced, new_rank, _ = rref(Mat._new(field, rows))
+        basis = Mat._new(field, reduced.rows[:new_rank])
+        if new_rank in (rank, dim):
+            return basis
+        rank = new_rank
+        rows = basis.rows + [y for gt in gens_t for y in mat_mul(basis, gt).rows]
 
 
 def _random_theta(rng: Lcg, r: Rep, gens):
@@ -134,24 +112,17 @@ def _kernel_lines(field, kernel_vectors):
 
     Returns None when the line count exceeds the enumeration limit.
     """
-    k = len(kernel_vectors)
-    q = field.q
+    k, q = len(kernel_vectors), field.q
     count = (q ** k - 1) // (q - 1)
     if count > _LINE_LIMIT:
         return None
-    add, mul = field.add, field.mul
     lines = []
     # 1 at lead, reversed(tail) after it: the first tail coefficient varies
     # fastest, the order that check reports pin (primal_vector)
     for lead in range(k):
+        cols = transpose(Mat._new(field, kernel_vectors[lead:]))
         for tail in product(range(q), repeat=k - lead - 1):
-            vec = list(kernel_vectors[lead])
-            for co, kv in zip(reversed(tail), kernel_vectors[lead + 1:]):
-                if co:
-                    for i, x in enumerate(kv):
-                        if x:
-                            vec[i] = add(vec[i], mul(co, x))
-            lines.append(vec)
+            lines.append(mat_vec(cols, [1, *reversed(tail)]))
     assert len(lines) == count
     return lines
 
@@ -164,8 +135,7 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
         return SplitResult("irreducible", draws=0,
                            certificate={"reason": "dimension 1"})
     rng = Lcg(seed)
-    gens = r.gens
-    field = r.field
+    gens, field = r.gens, r.field
     dual_gens = None
     for draw in range(1, budget + 1):
         theta, recipe = _random_theta(rng, r, gens)
@@ -177,27 +147,21 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
             continue
         cert = {"theta": recipe, "kernel_dim": len(kernel),
                 "lines_checked": len(lines)}
-        proper = None
         for vec in lines:
             spun = _spin(vec, gens, field, r.dim)
             if spun.nrows < r.dim:
                 cert["primal_vector"] = vec
-                proper = spun
-                break
-        if proper is not None:
-            return SplitResult("split", sub_rep=_restrict(r, proper),
-                               draws=draw, certificate=cert)
+                return SplitResult("split", sub_rep=_restrict(r, spun),
+                                   draws=draw, certificate=cert)
         if dual_gens is None:
             dual_gens = dual_rep(r).gens
-        dual_kernel = null_space(transpose(theta))
-        w0 = dual_kernel[0]
+        w0 = null_space(transpose(theta))[0]
         cert["dual_vector"] = w0
         dual_spun = _spin(w0, dual_gens, field, r.dim)
         if dual_spun.nrows == r.dim:
             return SplitResult("irreducible", draws=draw, certificate=cert)
         # annihilator of a stable dual subspace is a stable subspace
-        ann = null_space(dual_spun)
-        ann_rows, _, _ = rref(Mat._new(field, [list(v) for v in ann]))
+        ann_rows, _, _ = rref(Mat._new(field, null_space(dual_spun)))
         return SplitResult("split", sub_rep=_restrict(r, ann_rows),
                            draws=draw, certificate=cert)
     raise MeataxeInconclusive(
@@ -207,29 +171,16 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
 
 def _restrict(r: Rep, rows_mat: Mat) -> Rep:
     """Action on the row space of rows_mat (rows must be in rref)."""
-    field = r.field
-    rows = rows_mat.rows
-    s = rows_mat.nrows
-    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
-    sub, mul = field.sub, field.mul
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rows_mat.rows]
     gens = []
     for m in r.gens:
-        cols = []
-        for b in rows:
-            y = mat_vec(m, b)
-            coords = [y[p] for p in pivots]
-            # residual must vanish: stability of the subspace is asserted,
-            # not assumed
-            for t, c in enumerate(coords):
-                if c:
-                    row = rows[t]
-                    y = [sub(a, mul(c, x)) for a, x in zip(y, row)]
-            if any(y):
-                raise ValueError("subspace is not stable under the action")
-            cols.append(coords)
-        gens.append(Mat._new(field, [[cols[t][u] for t in range(s)]
-                                     for u in range(s)]))
-    return Rep(r.group, field, s, gens, embed=r.embed)
+        images = mat_mul(rows_mat, transpose(m))
+        coords = Mat._new(r.field, [[y[p] for p in pivots] for y in images.rows])
+        # stability of the subspace is asserted, not assumed
+        if mat_mul(coords, rows_mat) != images:
+            raise ValueError("subspace is not stable under the action")
+        gens.append(transpose(coords))
+    return Rep(r.group, r.field, rows_mat.nrows, gens, embed=r.embed)
 
 
 def simple_submodule(r: Rep, seed: int = 0) -> Rep:
@@ -252,9 +203,12 @@ def splitting_extension(r: Rep, seed: int = 0):
     Returns (e, piece).  For irreducible r the endomorphism algebra is the
     field GF(q^e) (Schur's lemma over a finite field), so e is its
     dimension, and r splits over GF(q^e) into absolutely irreducible
-    pieces, none of which exists over a smaller extension.
+    pieces, none of which exists over a smaller extension.  When e = 1
+    the piece is r itself, so r must already be known irreducible.
     """
     e = len(hom_space(r, r))
+    if e == 1:
+        return 1, r
     s = simple_submodule(extend_scalars(r, e), seed)
     if len(hom_space(s, s)) != 1:
         raise TheoremViolation("simple piece over the splitting field is "

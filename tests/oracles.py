@@ -5,7 +5,9 @@ deliberately plain route, and is too slow for anything but desk-scale
 tests.
 """
 
-from symmpow.linalg import mat_mul
+from itertools import product
+
+from symmpow.linalg import Mat, mat_mul, mat_vec, rref
 from symmpow.reps import PolyVec, Rep, monomial_basis, poly_mul, poly_one
 
 
@@ -53,3 +55,21 @@ def hom_defect_count(r: Rep) -> int:
             if mat_mul(r.images[a], r.images[b]) != r.images[group.prod(a, b)]:
                 bad += 1
     return bad
+
+
+def spin_by_words(vec, gens) -> Mat:
+    """Span of vec's images under every generator word of length < dim,
+    as rref rows.
+
+    The spans of the images under words of length <= l grow strictly
+    until they are stable, so length dim - 1 already reaches the closure.
+    """
+    images = []
+    for length in range(len(vec)):
+        for word in product(gens, repeat=length):
+            y = list(vec)
+            for g in word:
+                y = mat_vec(g, y)
+            images.append(y)
+    reduced, rank, _ = rref(Mat._new(gens[0].field, images))
+    return Mat._new(gens[0].field, reduced.rows[:rank])

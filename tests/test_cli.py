@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symmpow.cli as cli
+import symmpow.meataxe as meataxe
 import symmpow.scan as scan
 from symmpow.errors import MeataxeInconclusive, TheoremViolation
 
@@ -127,10 +128,12 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     assert run(["scan", "--input", sl23, "--molien", "on"]) == 2
     assert run(["construct", "--input", sl23, "--molien", "on"]) == 2
     assert run(["check", "--input", str(tmp_path / "missing.json")]) == 2
-    # bytes that are not UTF-8, and an integer past Python's digit limit
+    # bytes that are not UTF-8, an integer past Python's digit limit, and
+    # nesting past the recursion limit
     raw = tmp_path / "raw.json"
     digits = b'{"field": {"p": ' + b"7" * 5000 + b"}}"
-    for content in (b'{"schema": "\xff"}', digits):
+    nested = b"[" * 100000 + b"]" * 100000
+    for content in (b'{"schema": "\xff"}', digits, nested):
         raw.write_bytes(content)
         assert run(["check", "--input", str(raw)]) == 2
     err = capsys.readouterr().err
@@ -216,6 +219,9 @@ def test_construct_runs_the_meataxe_once_per_module(capsys, monkeypatch):
         return wrapper
     monkeypatch.setattr(cli, "is_irreducible", counting(cli.is_irreducible))
     monkeypatch.setattr(scan, "is_irreducible", counting(scan.is_irreducible))
+    # splitting_extension and simple_submodule call through this one
+    monkeypatch.setattr(meataxe, "is_irreducible",
+                        counting(meataxe.is_irreducible))
     assert run(["construct", "--k-max", "0", "--input",
                 str(PROBLEMS / "s3_gf7.json")]) == 0
     assert sorted(calls) == [1, 1, 2]   # each of the three modules once

@@ -1,12 +1,14 @@
 """Randomized irreducibility testing and module splitting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symmpow as sp
 from symmpow.linalg import rank
-from symmpow.meataxe import _LINE_LIMIT, _kernel_lines
+from symmpow.meataxe import _LINE_LIMIT, _kernel_lines, _restrict, _spin
 
-from oracles import hom_defect_count
+from oracles import hom_defect_count, spin_by_words
 
 
 def embedding_of(sub, rep):
@@ -150,3 +152,34 @@ def test_kernel_lines_follow_the_counter_order(p, f, k):
     assert lines == counter_lines(field, kernel)
     assert len(lines) == (q ** k - 1) // (q - 1)
     assert all(next(x for x in line if x) == 1 for line in lines)
+
+
+@pytest.fixture(scope="session")
+def spin_modules(s3_perm, q8, sl23):
+    F = sp.make_field(2)
+    jordan = sp.build_group([sp.Mat(F, [[1, 1, 0, 0], [0, 1, 1, 0],
+                                        [0, 0, 1, 1], [0, 0, 0, 1]])])
+    return {"s3_perm": s3_perm[1],
+            "q8_defining": q8[2]["defining"],
+            "sl23_sym2": sl23[2]["sym2"],
+            # e_4 spins to the whole space one dimension per round
+            "jordan4_gf2": sp.defining_rep(jordan)}
+
+
+@pytest.mark.parametrize("name", ["s3_perm", "q8_defining", "sl23_sym2",
+                                  "jordan4_gf2"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_spin_is_the_closure_under_words(spin_modules, name, data):
+    rep = spin_modules[name]
+    vec = data.draw(st.lists(st.integers(0, rep.field.q - 1),
+                             min_size=rep.dim, max_size=rep.dim).filter(any))
+    spun = _spin(vec, rep.gens, rep.field, rep.dim)
+    assert spun == spin_by_words(vec, rep.gens)
+    assert _restrict(rep, spun).dim == spun.nrows
+
+
+def test_restrict_rejects_an_unstable_subspace(s3_perm):
+    _, perm = s3_perm
+    with pytest.raises(ValueError, match="not stable"):
+        _restrict(perm, sp.Mat(perm.field, [[1, 0, 0]]))
