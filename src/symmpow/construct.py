@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from itertools import product as iter_product
 from math import lcm
 
 from .errors import TheoremViolation
-from .fields import FieldSpec, extend_field
+from .fields import FieldSpec, extend_field, field_embedding
 from .groups import GroupData, scalar_of
 from .homs import hom_space
 from .linalg import Mat, mat_mul, mat_vec, rank, transpose
@@ -79,12 +78,19 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
         ext_rep = extend_scalars(v_rep, e)
         ext = ext_rep.field
         images = [ext_rep.images[i] for i in noncentral]
-        for v in iter_product(range(ext.q), repeat=n):
-            if not any(v):
-                continue
-            if is_generic_vector(images, list(v)):
-                group.generic = (tuple(v), ext)
-                return group.generic
+        # genericity is a property of the line, and the lex-first vector
+        # of a line has leading coordinate 1, so only those are tried; in
+        # coordinate-lex order a later leading 1 comes first, and its tail
+        # counts up in base q
+        q = ext.q
+        for lead in reversed(range(n)):
+            width = n - 1 - lead
+            for k in range(q ** width):
+                v = [0] * lead + [1] + [k // q ** (width - 1 - i) % q
+                                        for i in range(width)]
+                if is_generic_vector(images, v):
+                    group.generic = (tuple(v), ext)
+                    return group.generic
     raise AssertionError("no generic vector within the extension sweep")
 
 
@@ -239,15 +245,15 @@ def assemble(w: Rep, k: int = 0,
             img_rows[c2][c] = ratio
         span_gens.append(Mat._new(field, img_rows))
     _require(flags, "coset_permutation", True)
-    span_rep = Rep(group, field, n_span, span_gens, embed=v_rep.embed)
+    span_rep = Rep(group, span_gens)
     span_images = span_rep.images
 
-    lam_ext = v_rep.embed[group.lam]
+    lam_ext = field_embedding(group.field, field)[group.lam]
     z_img = span_images[group.z_generator_index]
     _require(flags, "center_character",
              scalar_of(z_img) == field.pow(lam_ext, t))
 
-    induced = induced_from_center(group, t, field, v_rep.embed)
+    induced = induced_from_center(group, t, field)
     phi = Mat._new(field, [[span_images[group.transversal[c]].rows[u][0]
                             for c in range(n_span)] for u in range(n_span)])
     iso_ok = rank(phi) == n_span and all(

@@ -411,37 +411,44 @@ def discrete_log(field: FieldSpec, base: int, target: int, order: int) -> int:
     raise ValueError("target is not a power of the base")
 
 
+def field_embedding(base: FieldSpec, ext: FieldSpec):
+    """Codes in ext of the base field's elements, indexed by base code.
+
+    The embedding sends the base field's generator t to the first root (in
+    code order) of the base modulus inside ext, which forces a ring
+    homomorphism fixing the prime field.  Over a prime base, and when ext
+    is base, every code keeps its value, so the result is a range.
+    """
+    if ext.p != base.p or ext.f % base.f:
+        raise ValueError(f"{ext!r} is not an extension of {base!r}")
+    if ext == base or base.f == 1:
+        # constants keep their codes in the base-p encoding
+        return range(base.q)
+
+    def image(coeffs, x):  # Horner; prime-field constants embed as themselves
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        return acc
+
+    # y^((|ext| - 1)/(q - 1)) runs through the copy of GF(q) in ext as y
+    # runs through ext*, and the roots of the modulus are the conjugates
+    # r^(p^i) of any one root r, so the first is found without a sweep of ext
+    cofactor = (ext.q - 1) // (base.q - 1)
+    root = next(x for x in (ext.pow(y, cofactor) for y in range(1, ext.q))
+                if image(base.modulus, x) == 0)
+    root = min(ext.pow(root, base.p ** i) for i in range(base.f))
+    return tuple(image(base.coeffs(a), root) for a in range(base.q))
+
+
 def extend_field(field: FieldSpec, e: int):
     """Build GF(q^e) over GF(q) with an explicit embedding.
 
     Returns (ext, table) where table[a] is the image in ext of the base
-    element coded a.  The embedding sends the base field's generator t to
-    the first root (in code order) of the base modulus inside ext, which
-    forces a ring homomorphism fixing the prime field.  e = 1 returns the
-    field itself with the identity table.
+    element coded a; see :func:`field_embedding`.  e = 1 returns the field
+    itself with the identity table.
     """
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"extension degree must be a positive integer, got {e}")
-    if e == 1:
-        return field, tuple(range(field.q))
-    ext = make_field(field.p, field.f * e)
-    if field.f == 1:
-        # constants keep their codes in the base-p encoding
-        return ext, tuple(range(field.p))
-    root = None
-    for alpha in range(ext.q):
-        acc = 0
-        for c in reversed(field.modulus):  # Horner; prime-field constants embed as themselves
-            acc = ext.add(ext.mul(acc, alpha), c)
-        if acc == 0:
-            root = alpha
-            break
-    if root is None:
-        raise ArithmeticError("base modulus has no root in the extension")
-    table = []
-    for a in range(field.q):
-        acc = 0
-        for c in reversed(field.coeffs(a)):
-            acc = ext.add(ext.mul(acc, root), c)
-        table.append(acc)
-    return ext, tuple(table)
+    ext = field if e == 1 else make_field(field.p, field.f * e)
+    return ext, field_embedding(field, ext)

@@ -10,7 +10,7 @@ needs no separate certificate.
 from __future__ import annotations
 
 from .errors import CapExceeded
-from .fields import FieldSpec, mult_order
+from .fields import mult_order
 from .linalg import Mat, identity, mat_inv, mat_mul, rank
 
 DEFAULT_GROUP_CAP = 10_000
@@ -18,16 +18,18 @@ DEFAULT_GROUP_CAP = 10_000
 
 class GroupData:
     """Enumerated group together with its central scalar data and a fixed
-    transversal of the scalar subgroup.
+    transversal of the scalar subgroup, complete at construction.
 
-    Every attribute but generic is populated by :func:`enumerate_group`:
-      field, dim, generators, generator_indices, elements, index (matrix
-      key -> element index), edges (edges[i][k] = index of
-      elements[i] @ generators[k]), inverse; z_indices, z_generator_index,
-      lam (by :func:`center_scalars`); transversal, coset_of (by
-      :func:`coset_transversal`).
+    Built from the closure that :func:`enumerate_group` computes:
+    generators, elements, index (matrix key -> element index), edges
+    (edges[i][k] = index of elements[i] @ generators[k]) and inverse.
+    The constructor reads field, dim and generator_indices off those,
+    takes z_indices, z_generator_index and lam from
+    :func:`center_scalars` and transversal and coset_of from
+    :func:`coset_transversal`.
 
-    Populated by :func:`symmpow.construct.find_generic_vector`: generic.
+    Only generic starts empty (None): a cache that
+    :func:`symmpow.construct.find_generic_vector` fills.
     """
 
     __slots__ = ("field", "dim", "generators", "generator_indices",
@@ -35,21 +37,17 @@ class GroupData:
                  "z_indices", "z_generator_index", "lam",
                  "transversal", "coset_of", "generic")
 
-    def __init__(self, field, dim, generators, generator_indices,
-                 elements, index, edges, inverse):
-        self.field = field
-        self.dim = dim
+    def __init__(self, generators, elements, index, edges, inverse):
         self.generators = generators
-        self.generator_indices = generator_indices
         self.elements = elements
         self.index = index
         self.edges = edges
         self.inverse = inverse
-        self.z_indices = None
-        self.z_generator_index = None
-        self.lam = None
-        self.transversal = None
-        self.coset_of = None
+        self.field = generators[0].field
+        self.dim = generators[0].nrows
+        self.generator_indices = [index[g.key()] for g in generators]
+        self.z_indices, self.z_generator_index, self.lam = center_scalars(self)
+        self.transversal, self.coset_of = coset_transversal(self)
         self.generic = None
 
     @property
@@ -124,15 +122,8 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
         edges.append(row)
         i += 1
 
-    inverse = []
-    for m in elements:
-        inverse.append(index[mat_inv(m).key()])
-    generator_indices = [index[g.key()] for g in gens]
-    group = GroupData(field, n, gens, generator_indices,
-                      elements, index, edges, inverse)
-    center_scalars(group)
-    coset_transversal(group)
-    return group
+    inverse = [index[mat_inv(m).key()] for m in elements]
+    return GroupData(gens, elements, index, edges, inverse)
 
 
 def scalar_of(m: Mat):
@@ -151,11 +142,12 @@ def scalar_of(m: Mat):
 def center_scalars(group: GroupData):
     """Identify the subgroup of scalar matrices inside the group.
 
-    Returns (z_indices, z_generator_index, lam) and stores them on the
-    group; enumerate_group calls it.  The distinguished generator is the
-    scalar element whose scalar has maximal multiplicative order, ties
-    broken by lowest element index; lam is that scalar.  The scalars form
-    a cyclic group, so the maximal order equals the subgroup size.
+    Reads the group's field and elements and returns (z_indices,
+    z_generator_index, lam); the GroupData constructor calls it.  The
+    distinguished generator is the scalar element whose scalar has maximal
+    multiplicative order, ties broken by lowest element index; lam is that
+    scalar.  The scalars form a cyclic group, so the maximal order equals
+    the subgroup size.
     """
     field = group.field
     z_indices = []
@@ -173,9 +165,6 @@ def center_scalars(group: GroupData):
     order, z_gen, lam = best
     if order != len(z_indices):
         raise ArithmeticError("scalar subgroup is not cyclic of its size")
-    group.z_indices = z_indices
-    group.z_generator_index = z_gen
-    group.lam = lam
     return z_indices, z_gen, lam
 
 
@@ -184,8 +173,8 @@ def coset_transversal(group: GroupData):
 
     Greedy sweep in element-index order: an element starts a new coset iff
     no earlier element lies in its coset.  Coset 0 is the identity coset.
-    Returns (transversal, coset_of) and stores them on the group;
-    enumerate_group calls it after center_scalars.
+    Reads the group's elements and z_indices and returns (transversal,
+    coset_of); the GroupData constructor calls it after center_scalars.
     """
     n_el = len(group.elements)
     coset_of = [None] * n_el
@@ -199,8 +188,6 @@ def coset_transversal(group: GroupData):
             coset_of[group.prod(a, z)] = c
     if len(transversal) * len(group.z_indices) != n_el:
         raise ArithmeticError("coset partition does not tile the group")
-    group.transversal = transversal
-    group.coset_of = coset_of
     return transversal, coset_of
 
 

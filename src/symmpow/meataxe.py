@@ -180,7 +180,7 @@ def _restrict(r: Rep, rows_mat: Mat) -> Rep:
         if mat_mul(coords, rows_mat) != images:
             raise ValueError("subspace is not stable under the action")
         gens.append(transpose(coords))
-    return Rep(r.group, r.field, rows_mat.nrows, gens, embed=r.embed)
+    return Rep(r.group, gens)
 
 
 def simple_submodule(r: Rep, seed: int = 0) -> Rep:

@@ -22,10 +22,11 @@ Conventions that every downstream module relies on:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import CapExceeded, NotARepresentation
-from .fields import FieldSpec, discrete_log, extend_field
+from .fields import FieldSpec, discrete_log, extend_field, field_embedding
 from .groups import GroupData, scalar_of
 from .linalg import Mat, identity, mat_inv, mat_mul, transpose
 
@@ -40,8 +41,12 @@ class MonomialBasis:
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        # instances are cached and shared, so the exponent list is frozen
-        self.exponents = tuple(_exponent_vectors(n, m))
+        # instances are cached and shared, so the exponent list is frozen;
+        # multisets of variables in lex order are exponent vectors in
+        # decreasing lex order
+        self.exponents = tuple(
+            tuple(c.count(i) for i in range(n))
+            for c in combinations_with_replacement(range(n), m))
         self.index = {e: i for i, e in enumerate(self.exponents)}
 
     def __len__(self):
@@ -49,22 +54,6 @@ class MonomialBasis:
 
     def __repr__(self):
         return f"MonomialBasis(n={self.n}, m={self.m})"
-
-
-def _exponent_vectors(n: int, m: int):
-    if n == 1:
-        return [(m,)]
-    out = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for c in range(remaining, -1, -1):
-            rec(prefix + (c,), remaining - c, slots - 1)
-    rec((), m, n)
-    # the recursion already emits decreasing lex order; verify the count
-    assert len(out) == comb(n + m - 1, m)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -143,31 +132,31 @@ class Rep:
     """Matrix representation of an enumerated group, given by generator
     images.
 
-    ``gens[k]`` is the image of ``group.generators[k]``.  ``images`` holds
-    one image per group element; it is built on first access by replaying
-    ``group.edges`` from the identity, and every edge is checked, so two
-    words reaching the same element must give equal matrices.  A mismatch
-    raises NotARepresentation.  Generators determine the whole action, so
-    stability and intertwining checks run on ``gens``; ``images`` is for
-    the arguments that are per-element by nature.
+    ``gens[k]`` is the image of ``group.generators[k]``; the generator
+    images are the whole representation, and ``field`` and ``dim`` are
+    read off them.  ``field`` may be an extension of the group's field;
+    scalar data attached to the group is carried into it by
+    :func:`symmpow.fields.field_embedding` where it is consumed.
 
-    ``field`` may be an extension of the group's field; ``embed`` is the
-    lookup table carrying group-field element codes into ``field`` (the
-    identity table when they coincide), so scalar data attached to the
-    group stays usable after extension of scalars.
+    ``images`` holds one image per group element; it is built on first
+    access by replaying ``group.edges`` from the identity, and every edge
+    is checked, so two words reaching the same element must give equal
+    matrices.  A mismatch raises NotARepresentation.  Generators determine
+    the whole action, so stability and intertwining checks run on
+    ``gens``; ``images`` is for the arguments that are per-element by
+    nature.
     """
 
-    __slots__ = ("group", "field", "dim", "gens", "embed", "_images")
+    __slots__ = ("group", "field", "dim", "gens", "_images")
 
-    def __init__(self, group: GroupData, field: FieldSpec, dim: int,
-                 gens, embed=None):
+    def __init__(self, group: GroupData, gens):
+        gens = list(gens)
         if len(gens) != len(group.generators):
             raise ValueError("need one image per generator")
         self.group = group
-        self.field = field
-        self.dim = dim
-        self.gens = list(gens)
-        self.embed = tuple(embed) if embed is not None else tuple(range(group.field.q))
+        self.gens = gens
+        self.field = gens[0].field
+        self.dim = gens[0].nrows
         self._images = None
 
     @property
@@ -195,7 +184,7 @@ class Rep:
 
 def defining_rep(group: GroupData) -> Rep:
     """The representation whose images are the group elements themselves."""
-    return Rep(group, group.field, group.dim, group.generators)
+    return Rep(group, group.generators)
 
 
 def paired_rep(group: GroupData, gen_images) -> Rep:
@@ -209,14 +198,13 @@ def paired_rep(group: GroupData, gen_images) -> Rep:
     gen_images = list(gen_images)
     if len(gen_images) != len(group.generators):
         raise ValueError("need exactly one image per generator")
-    field = group.field
     dim = gen_images[0].nrows
     for m in gen_images:
         if not isinstance(m, Mat) or m.nrows != m.ncols or m.nrows != dim:
             raise ValueError("generator images must be square of equal size")
-        if m.field != field:
+        if m.field != group.field:
             raise ValueError("generator images must live over the group field")
-    rep = Rep(group, field, dim, gen_images)
+    rep = Rep(group, gen_images)
     rep.images  # the replay checks every edge
     return rep
 
@@ -273,15 +261,13 @@ def sym_power(v: Rep, m: int) -> Rep:
     if m < 0:
         raise ValueError("negative symmetric power")
     basis = monomial_basis(v.dim, m)
-    gens = [_sym_image(g, basis) for g in v.gens]
-    return Rep(v.group, v.field, len(basis), gens, embed=v.embed)
+    return Rep(v.group, [_sym_image(g, basis) for g in v.gens])
 
 
 def dual_rep(r: Rep) -> Rep:
     """Contragredient action: g maps to the transpose of the inverse of its
     image."""
-    gens = [transpose(mat_inv(g)) for g in r.gens]
-    return Rep(r.group, r.field, r.dim, gens, embed=r.embed)
+    return Rep(r.group, [transpose(mat_inv(g)) for g in r.gens])
 
 
 def extend_scalars(r: Rep, e: int) -> Rep:
@@ -289,10 +275,8 @@ def extend_scalars(r: Rep, e: int) -> Rep:
     if e == 1:
         return r
     ext, table = extend_field(r.field, e)
-    gens = [Mat._new(ext, [[table[x] for x in row] for row in m.rows])
-            for m in r.gens]
-    embed = tuple(table[x] for x in r.embed)
-    return Rep(r.group, ext, r.dim, gens, embed=embed)
+    return Rep(r.group, [Mat._new(ext, [[table[x] for x in row]
+                                        for row in m.rows]) for m in r.gens])
 
 
 def restrict_scalar_character(w: Rep):
@@ -306,23 +290,23 @@ def restrict_scalar_character(w: Rep):
     c = scalar_of(w.images[group.z_generator_index])
     if c is None:
         return False, None
-    lam_here = w.embed[group.lam]
+    lam_here = field_embedding(group.field, w.field)[group.lam]
     t = discrete_log(w.field, lam_here, c, len(group.z_indices))
     return True, t
 
 
-def induced_from_center(group: GroupData, t: int, field: FieldSpec = None,
-                        embed=None) -> Rep:
-    """Induction of the scalar character lam^t up to the whole group.
+def induced_from_center(group: GroupData, t: int,
+                        field: FieldSpec = None) -> Rep:
+    """Induction of the scalar character lam^t up to the whole group,
+    over field (an extension of the group's field; the group's own by
+    default).
 
     The basis is indexed by the coset transversal; each image is a monomial
     matrix recording how left multiplication permutes cosets and which
     scalar falls out of the coset representative correction.
     """
-    if field is None:
-        field = group.field
-        embed = tuple(range(group.field.q))
-    embed = tuple(embed)
+    field = group.field if field is None else field
+    embed = field_embedding(group.field, field)
     n = len(group.transversal)
     gens = []
     for g in group.generator_indices:
@@ -334,5 +318,5 @@ def induced_from_center(group: GroupData, t: int, field: FieldSpec = None,
             scalar = group.elements[z].rows[0][0]
             rows[c2][c] = field.pow(embed[scalar], t)
         gens.append(Mat._new(field, rows))
-    return Rep(group, field, n, gens, embed=embed)
+    return Rep(group, gens)
 

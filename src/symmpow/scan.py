@@ -28,6 +28,7 @@ from math import lcm
 
 from .construct import Certificate, assemble, verify_periodicity
 from .errors import ParseError, TheoremViolation
+from .fields import _prime_factors
 from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
@@ -131,11 +132,12 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     v_ext = extend_scalars(v, e)
     w_ext = extend_scalars(w, e)
     ext = v_ext.field
-    # the first code of order exactly L: x^L = 1 but x^d != 1 for every
-    # proper divisor d of L
-    proper = [d for d in range(1, L) if L % d == 0]
-    omega = next(x for x in range(1, ext.q) if ext.pow(x, L) == 1
-                 and all(ext.pow(x, d) != 1 for d in proper))
+    # the first y^((q^e - 1)/L), y = 1, 2, ..., of order exactly L: it
+    # has x^L = 1, so its order is L iff x^(L/r) != 1 for every prime r | L
+    cofactors = [L // r for r in _prime_factors(L)]
+    omega = next(x for x in (ext.pow(y, (ext.q - 1) // L)
+                             for y in range(1, ext.q))
+                 if all(ext.pow(x, d) != 1 for d in cofactors))
 
     def eigen_exponents(m: Mat, d: int):
         """Exponents t with eigenvalue omega^t, with multiplicity."""

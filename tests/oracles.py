@@ -57,6 +57,37 @@ def hom_defect_count(r: Rep) -> int:
     return bad
 
 
+def _int_mat_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+
+
+def hom_dim_by_enumeration(u: Rep, v: Rep) -> int:
+    """dim Hom(U, V) over a prime field GF(p), by counting every
+    v.dim x u.dim matrix X with X u(g) = v(g) X on the generators.
+
+    The solutions form a subspace, so there are p^dim of them.
+    """
+    field = u.field
+    if field.f != 1:
+        raise ValueError("the enumeration runs over prime fields only")
+    p = field.p
+    nu, nv = u.dim, v.dim
+    pairs = [(a.rows, b.rows) for a, b in zip(u.gens, v.gens)]
+    count = 0
+    for flat in product(range(p), repeat=nu * nv):
+        x = [flat[i * nu:(i + 1) * nu] for i in range(nv)]
+        if all(_int_mat_mul(x, a, p) == _int_mat_mul(b, x, p)
+               for a, b in pairs):
+            count += 1
+    dim = 0
+    while count > 1:
+        assert count % p == 0, "solution count is not a power of p"
+        count //= p
+        dim += 1
+    return dim
+
+
 def spin_by_words(vec, gens) -> Mat:
     """Span of vec's images under every generator word of length < dim,
     as rref rows.

@@ -4,7 +4,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -347,6 +349,40 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.rstrip().endswith("ok")
+
+
+# GF(2^31 - 1) is the largest prime field under the 2^31 guard: C2 = <-1>
+# with its sign module, and the order-6 reflection group with its
+# one-dimensional modules, which needs a generic vector
+BIG_P = 2147483647
+BIG_FIELD_DOCS = (
+    {"schema": "symmpow-v1", "field": {"p": BIG_P, "f": 1},
+     "generators": [[[BIG_P - 1]]],
+     "modules": [{"label": "sign", "images": [[[BIG_P - 1]]]}]},
+    {"schema": "symmpow-v1", "field": {"p": BIG_P, "f": 1},
+     "generators": [[[0, 1], [1, 0]], [[0, BIG_P - 1], [1, BIG_P - 1]]],
+     "modules": [{"label": "trivial", "images": [[[1]], [[1]]]},
+                 {"label": "sign", "images": [[[BIG_P - 1]], [[1]]]}]},
+)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_largest_prime_field_runs_in_bounded_memory(tmp_path):
+    # small problems: no step may cost time or memory of order q
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for i, doc in enumerate(BIG_FIELD_DOCS):
+        path = write_doc(tmp_path, doc, f"big{i}.json")
+        for argv in (["check"], ["scan", "--molien", "on"], ["construct"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "symmpow", *argv, "--input", path],
+                capture_output=True, text=True, env=env, timeout=60,
+                preexec_fn=_limit_address_space)
+            assert proc.returncode == 0, (i, argv, proc.stderr)
+            assert proc.stdout.rstrip().endswith("ok")
 
 
 # integers are unbounded, so p and f also get huge values

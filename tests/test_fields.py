@@ -7,6 +7,7 @@ import random
 import pytest
 
 import symmpow as sp
+from symmpow.fields import field_embedding
 
 
 def naive_poly_rem(a, b, p):
@@ -116,6 +117,24 @@ def test_extension_towers_are_canonical():
             assert emb2[F9.mul(a, b)] == F81_tower.mul(emb2[a], emb2[b])
 
 
+@pytest.mark.parametrize("p,f,e", [(2, 2, 2), (2, 2, 3), (2, 3, 2),
+                                   (3, 2, 2), (5, 2, 2), (2, 4, 2)])
+def test_field_embedding_sends_t_to_the_first_root(p, f, e):
+    base = sp.make_field(p, f)
+    ext = sp.make_field(p, f * e)
+
+    def at(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        return acc
+
+    first = next(x for x in range(ext.q) if at(base.modulus, x) == 0)
+    table = field_embedding(base, ext)
+    assert table[p] == first  # the code p is the generator t
+    assert list(table) == [at(base.coeffs(a), first) for a in range(base.q)]
+
+
 def test_field_equality_and_bad_inputs():
     assert sp.make_field(5) == sp.make_field(5)
     assert sp.make_field(5) != sp.make_field(7)
@@ -128,6 +147,8 @@ def test_field_equality_and_bad_inputs():
         sp.make_field(7, 0)
     with pytest.raises(ValueError):
         sp.make_field(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+    with pytest.raises(ValueError):
+        field_embedding(sp.make_field(2, 2), sp.make_field(2, 3))
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (3, 2), (2, 4), (5, 3), (2, 8),

@@ -1,9 +1,11 @@
 """Intertwiner spaces: bases, dimensions and witnesses."""
 
+import random
+
 import pytest
 
 import symmpow as sp
-from symmpow.linalg import mat_mul, rank
+from symmpow.linalg import Mat, mat_mul, rank, rref
 
 
 def check_intertwines(x, u, v):
@@ -75,6 +77,67 @@ def test_extension_can_split_endomorphisms(c3_gf2):
     _, w = c3_gf2
     assert len(sp.hom_space(w, w)) == 2
     assert hom_dims_before_and_after(w, w, 2) == (2, 2)
+
+
+def canonical_basis(xs):
+    """The canonical basis of the span of the matrices xs.
+
+    Each X is flattened row-major; the flat vectors are brought to rref
+    with the columns taken right to left, mapped back to the original
+    column order, ordered by pivot (the last nonzero entry) and reshaped.
+    """
+    if not xs:
+        return []
+    field, nrows, ncols = xs[0].field, xs[0].nrows, xs[0].ncols
+    flat = [[c for row in x.rows for c in row][::-1] for x in xs]
+    reduced, r, pivots = rref(Mat._new(field, flat))
+    order = sorted(range(r), key=lambda k: -pivots[k])
+    rows = [reduced.rows[k][::-1] for k in order]
+    return [Mat._new(field, [row[i * ncols:(i + 1) * ncols]
+                             for i in range(nrows)]) for row in rows]
+
+
+def _random_recombination(xs, rng):
+    """Combinations of xs by a random invertible coefficient matrix."""
+    field, k = xs[0].field, len(xs)
+    while True:
+        coeffs = [[rng.randrange(field.q) for _ in range(k)]
+                  for _ in range(k)]
+        if rank(Mat._new(field, coeffs)) == k:
+            break
+    out = []
+    for row in coeffs:
+        acc = [[0] * xs[0].ncols for _ in range(xs[0].nrows)]
+        for c, x in zip(row, xs):
+            acc = [[field.add(a, field.mul(c, b)) for a, b in zip(ar, xr)]
+                   for ar, xr in zip(acc, x.rows)]
+        out.append(Mat._new(field, acc))
+    return out
+
+
+def test_hom_space_returns_the_canonical_basis(s3, q8, sl23, c6, s3_perm,
+                                               c3_gf2):
+    # the report serializes the first basis element, so any solver must
+    # return exactly this basis, whichever spanning set it finds first
+    rng = random.Random(0)
+    pairs = []
+    for _, v, mods in (s3, q8, sl23, c6):
+        reps = list(mods.values())
+        pairs += [(u, w) for u in reps for w in reps]
+        for m in range(1, 6):
+            sym = sp.sym_power(v, m)
+            pairs += [(sym, sym)]
+            pairs += [(w, sym) for w in reps] + [(sym, w) for w in reps]
+    for _, r in (s3_perm, c3_gf2):
+        pairs += [(r, r)] + [(sp.sym_power(r, m), r) for m in range(1, 4)]
+    nontrivial = 0
+    for u, w in pairs:
+        basis = sp.hom_space(u, w)
+        assert basis == canonical_basis(basis)
+        if len(basis) > 1:
+            nontrivial += 1
+            assert canonical_basis(_random_recombination(basis, rng)) == basis
+    assert nontrivial > 10
 
 
 def test_mismatched_inputs_rejected(s3, q8):

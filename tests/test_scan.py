@@ -5,6 +5,8 @@ import pytest
 
 import symmpow as sp
 
+from oracles import hom_dim_by_enumeration
+
 S3_TABLES = {
     # (m, submodule count, quotient count) for m = 1..6 over GF(7)
     "trivial": [(1, 0, 0), (2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1),
@@ -35,6 +37,27 @@ def test_scan_respects_m_max_and_cap(s3):
     assert short.minimal_sub_m is None
     with pytest.raises(sp.CapExceeded):
         sp.occurrence_scan(v, mods["sign"], m_max=6, cap_dim=3)
+
+
+def test_scan_of_reducible_modules_matches_enumeration():
+    # no shipped document has a reducible module, so the scan rows are
+    # checked against a count of every intertwiner over the prime field;
+    # V is the unipotent Jordan block J acting on the plane
+    cases = ((2, [[1, 1], [0, 1]], 5),
+             (3, [[1, 1], [0, 1]], 3),
+             (2, [[1, 0, 0], [0, 1, 1], [0, 0, 1]], 3))  # block-diag(1, J)
+    for p, w_image, m_max in cases:
+        F = sp.make_field(p)
+        group = sp.build_group([sp.Mat(F, [[1, 1], [0, 1]])])
+        v = sp.defining_rep(group)
+        w = sp.paired_rep(group, [sp.Mat(F, w_image)])
+        table = sp.occurrence_scan(v, w, m_max=m_max)
+        expected = []
+        for m in range(1, m_max + 1):
+            sym = sp.sym_power(v, m)
+            expected.append((m, hom_dim_by_enumeration(w, sym),
+                             hom_dim_by_enumeration(sym, w)))
+        assert table.rows == expected, (p, w_image)
 
 
 def test_molien_against_partition_count(s3):
