@@ -1,45 +1,93 @@
 """Spaces of module homomorphisms between two representations.
 
-A hom from u to v is a v.dim x u.dim matrix X with X u(g) = v(g) X for
-all g.  Imposing the condition on the generators suffices: intertwining
-with generators propagates to every product, and the exhaustive check is
-kept as a test invariant rather than paid on every call.  The equations
-are linear in the entries of X, so the space is the null space of a
-stacked coefficient matrix and bases come out deterministically.
+A hom from u to v is a v.dim x u.dim matrix X with X u(g) = v(g) X on
+the generators, which suffices.  The solver spins the smaller side (the
+MeatAxe standard-basis method): standard vectors of the source are spun
+under the generators, and each one outside the span so far opens a block
+of nv unknowns for its image, so reducible sources work too.  Spin vector
+b_i has image T_i y, y in a candidate space K.  A new vector a b_j gets
+b T_j; a dependent one, a b_j = sum c_i b_i, cuts K to the null space of
+b T_j - sum c_i T_i.  Each y in K gives X = [T_i y] B^-1, B = [b_i].  A
+larger source is solved through the transposed pairs.
+
+The basis is canonical: the homs flattened row-major, in reduced echelon
+form with the columns taken right to left, ordered by pivot column.  It
+is null_space's basis of the equations in the entries of X, so reports,
+which serialize basis elements, do not depend on the solver.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, null_space
+from .linalg import (Mat, identity, mat_inv, mat_mul, mat_vec, null_space,
+                     rref, transpose)
 from .reps import Rep
+
+
+def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
+    """Transposes of a basis of the nv x nu X with X a = b X for all
+    (a, transpose(b)) in pairs; T_i is kept as its k columns."""
+    sub, mul = field.sub, field.mul
+    ech, ts = [], []  # spin vectors in semi-echelon form (pivot, row); T_i
+    k = 0
+
+    def reduce(w, cols):  # w minus its part in the span; cols likewise
+        for (p, row), t in zip(ech, ts):
+            f = w[p]
+            if f:
+                w = [sub(x, mul(f, y)) for x, y in zip(w, row)]
+                cols = [[sub(x, mul(f, y)) for x, y in zip(c, q)]
+                        for c, q in zip(cols, t)]
+        return w, cols
+
+    def adjoin(w, cols):
+        p = next(i for i, x in enumerate(w) if x)
+        f = field.inv(w[p])
+        ech.append((p, [mul(f, x) for x in w]))
+        ts.append([[mul(f, x) for x in c] for c in cols])
+
+    j = 0
+    for s in range(nu):
+        seed, _ = reduce([int(i == s) for i in range(nu)], [])
+        if not any(seed):
+            continue
+        ts = [t + [[0] * nv for _ in range(nv)] for t in ts]
+        adjoin(seed, [[0] * nv for _ in range(k)] + identity(field, nv).rows)
+        k += nv
+        while j < len(ech):
+            for a, bt in pairs:
+                image = mat_mul(Mat._new(field, ts[j]), bt).rows if k else []
+                w, cols = reduce(mat_vec(a, ech[j][1]), image)
+                if any(w):
+                    adjoin(w, cols)
+                elif k:
+                    kernel = null_space(transpose(Mat._new(field, cols)))
+                    if len(kernel) < k:
+                        k = len(kernel)
+                        ts = [mat_mul(Mat._new(field, kernel),
+                                      Mat._new(field, t)).rows if k else []
+                              for t in ts]
+            j += 1
+    if not k:
+        return []
+    binv = mat_inv(Mat._new(field, [row for _, row in ech]))
+    return [mat_mul(binv, Mat._new(field, [t[y] for t in ts]))
+            for y in range(k)]
 
 
 def hom_basis_from_pairs(field, pairs, nu: int, nv: int):
     """Solve X a = b X for all (a, b) in pairs; X is nv x nu, row-major.
-
-    The solver behind hom_space.
-    """
-    nvars = nu * nv
-    add, sub = field.add, field.sub
-    rows = []
-    for a, b in pairs:
-        for i in range(nv):
-            bi = b.rows[i]
-            for j in range(nu):
-                row = [0] * nvars
-                for k in range(nv):
-                    c = bi[k]
-                    if c:
-                        row[k * nu + j] = add(row[k * nu + j], c)
-                for k in range(nu):
-                    c = a.rows[k][j]
-                    if c:
-                        idx = i * nu + k
-                        row[idx] = sub(row[idx], c)
-                rows.append(row)
-    vecs = null_space(Mat._new(field, rows))
-    return [Mat._new(field, [vec[i * nu:(i + 1) * nu] for i in range(nv)])
-            for vec in vecs]
+    The solver behind hom_space; returns the canonical basis."""
+    if nu <= nv:
+        xs = [transpose(x) for x in _spin(
+            field, [(a, transpose(b)) for a, b in pairs], nu, nv)]
+    else:
+        xs = _spin(field, [(transpose(b), a) for a, b in pairs], nv, nu)
+    if not xs:
+        return []
+    reduced, r, _ = rref(Mat._new(
+        field, [[c for row in x.rows for c in row][::-1] for x in xs]))
+    return [Mat._new(field, [flat[i * nu:(i + 1) * nu] for i in range(nv)])
+            for flat in (row[::-1] for row in reduced.rows[r - 1::-1])]
 
 
 def hom_space(u: Rep, v: Rep) -> list[Mat]:

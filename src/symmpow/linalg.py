@@ -124,11 +124,13 @@ def rref(a: Mat):
         piv_inv = inv(pr[c])
         if piv_inv != 1:
             rows[r] = pr = [mul(piv_inv, x) for x in pr]
+        tail = pr[c:]  # pr is zero left of c
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 ri = rows[i]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(ri, pr)]
+                rows[i] = ri[:c] + [sub(x, mul(f, y))
+                                    for x, y in zip(ri[c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:

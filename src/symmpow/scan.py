@@ -1,8 +1,8 @@
 """Occurrence tables, the independent Molien oracle, and the full verifier.
 
 occurrence_scan brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
-for m = 1..m_max.  Only generator images of the symmetric power are ever
-materialized, so the cost per m is two null-space computations.
+for m = 1..m_max from generator images of Sym^m V alone; each degree
+costs two spins of W, with dim Sym^m V unknowns per seed (see homs).
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not

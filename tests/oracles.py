@@ -7,7 +7,7 @@ tests.
 
 from itertools import product
 
-from symmpow.linalg import Mat, mat_mul, mat_vec, rref
+from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rref
 from symmpow.reps import PolyVec, Rep, monomial_basis, poly_mul, poly_one
 
 
@@ -104,3 +104,33 @@ def spin_by_words(vec, gens) -> Mat:
             images.append(y)
     reduced, rank, _ = rref(Mat._new(gens[0].field, images))
     return Mat._new(gens[0].field, reduced.rows[:rank])
+
+
+def hom_basis_by_kronecker(field, pairs, nu: int, nv: int):
+    """Solve X a = b X for all (a, b) in pairs; X is nv x nu, row-major.
+
+    The equations are linear in the nu * nv entries of X, so the
+    solutions are the null space of one stacked coefficient matrix, in
+    null_space's basis.  hom_space must return exactly this basis.
+    """
+    nvars = nu * nv
+    add, sub = field.add, field.sub
+    rows = []
+    for a, b in pairs:
+        for i in range(nv):
+            bi = b.rows[i]
+            for j in range(nu):
+                row = [0] * nvars
+                for k in range(nv):
+                    c = bi[k]
+                    if c:
+                        row[k * nu + j] = add(row[k * nu + j], c)
+                for k in range(nu):
+                    c = a.rows[k][j]
+                    if c:
+                        idx = i * nu + k
+                        row[idx] = sub(row[idx], c)
+                rows.append(row)
+    vecs = null_space(Mat._new(field, rows))
+    return [Mat._new(field, [vec[i * nu:(i + 1) * nu] for i in range(nv)])
+            for vec in vecs]

@@ -140,6 +140,58 @@ def test_hom_space_returns_the_canonical_basis(s3, q8, sl23, c6, s3_perm,
     assert nontrivial > 10
 
 
+def _direct_sum(*reps):
+    """Block-diagonal representation, summands in the order given."""
+    field, n = reps[0].field, sum(r.dim for r in reps)
+    gens = []
+    for k in range(len(reps[0].gens)):
+        rows, off = [], 0
+        for r in reps:
+            for row in r.gens[k].rows:
+                rows.append([0] * off + list(row) + [0] * (n - off - r.dim))
+            off += r.dim
+        gens.append(Mat(field, rows))
+    return sp.paired_rep(reps[0].group, gens)
+
+
+def test_a_later_spin_seed_carries_the_only_hom(s3):
+    # into sign + sign the source trivial + sign is the side spun, from
+    # e_1, whose image is forced to zero, so only the block opened by the
+    # second seed e_2 survives; into sign alone the target is spun
+    _, _, mods = s3
+    F = mods["sign"].field
+    src = _direct_sum(mods["trivial"], mods["sign"])
+    assert sp.hom_space(src, mods["sign"]) == [Mat(F, [[0, 1]])]
+    two_signs = _direct_sum(mods["sign"], mods["sign"])
+    assert sp.hom_space(src, two_signs) == [Mat(F, [[0, 1], [0, 0]]),
+                                            Mat(F, [[0, 0], [0, 1]])]
+    assert sp.hom_space(mods["sign"], src) == [Mat(F, [[0], [1]])]
+
+
+def test_repeated_summands_give_every_hom(s3):
+    _, _, mods = s3
+    F = mods["trivial"].field
+    triv = mods["trivial"]
+    two = _direct_sum(triv, triv)
+    assert sp.hom_space(two, triv) == [Mat(F, [[1, 0]]), Mat(F, [[0, 1]])]
+    assert sp.hom_space(triv, two) == [Mat(F, [[1], [0]]),
+                                       Mat(F, [[0], [1]])]
+    ends = sp.hom_space(two, two)
+    assert len(ends) == 4
+    for x in ends:
+        check_intertwines(x, two, two)
+
+
+def test_zero_hom_space_between_different_dimensions(s3):
+    _, _, mods = s3
+    small = _direct_sum(mods["trivial"], mods["sign"])
+    large = _direct_sum(mods["standard"], mods["standard"])
+    assert sp.hom_space(small, large) == []
+    assert sp.hom_space(large, small) == []
+    assert sp.hom_space(mods["trivial"], large) == []
+    assert sp.hom_space(large, mods["sign"]) == []
+
+
 def test_mismatched_inputs_rejected(s3, q8):
     _, _, mods = s3
     _, _, qmods = q8

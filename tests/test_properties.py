@@ -5,15 +5,18 @@ two minutes, so example counts stay modest and all heavy objects are
 built once at module load.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symmpow as sp
-from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rank, rref
+from symmpow.linalg import (Mat, mat_inv, mat_mul, mat_vec, null_space, rank,
+                            rref)
 from symmpow.reps import monomial_basis
 
-from oracles import apply_to_poly
+from oracles import apply_to_poly, hom_basis_by_kronecker
 
 pytestmark = pytest.mark.properties
 
@@ -53,6 +56,31 @@ PERM_GROUP = sp.build_group([sp.Mat(PERM_F, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
 PERM = sp.defining_rep(PERM_GROUP)
 S3_STD = sp.paired_rep(S3, [sp.Mat(PERM_F, [[0, 1], [1, 0]]),
                             sp.Mat(PERM_F, [[0, 6], [1, 6]])])
+
+
+def _modules_and_sym_powers(v, images):
+    """v's modules given by generator images, the trivial module twice
+    over (not cyclic, so spinning it takes two seeds), and Sym^m(v) for
+    m <= 4."""
+    mods = [sp.paired_rep(v.group, [sp.Mat(v.field, g) for g in gens])
+            for gens in images]
+    twice = sp.paired_rep(v.group, [sp.identity(v.field, 2)] * len(v.gens))
+    return mods + [twice] + [sp.sym_power(v, m) for m in range(1, 5)]
+
+
+# Same-group families of modules over GF(7), GF(4) and GF(25): the order-6
+# group in characteristic 7, SL(2, 2) in the characteristic dividing its
+# order, and Q8 pushed into GF(25).
+SL22 = sp.build_group([sp.Mat(sp.make_field(2), [[1, 1], [0, 1]]),
+                       sp.Mat(sp.make_field(2), [[1, 0], [1, 1]])])
+HOM_FAMILIES = {
+    "s3_gf7": _modules_and_sym_powers(
+        S3_V, [([[1]], [[1]]), ([[6]], [[1]])]),
+    "sl2_2_gf4": [sp.extend_scalars(r, 2) for r in _modules_and_sym_powers(
+        sp.defining_rep(SL22), [([[1]], [[1]])])],
+    "q8_gf25": [sp.extend_scalars(r, 2) for r in _modules_and_sym_powers(
+        Q8_V, [([[1]], [[4]]), ([[4]], [[4]])])],
+}
 
 
 @COMMON
@@ -139,3 +167,44 @@ def test_meataxe_verdict_ignores_seed(seed):
     res = sp.is_irreducible(PERM, seed=seed)
     assert not res.irreducible
     assert 0 < res.sub_rep.dim < 3
+
+
+def _in_random_basis(r, rng):
+    """r with every generator image conjugated by one random invertible
+    matrix over r's field."""
+    field, n = r.field, r.dim
+    while True:
+        p = Mat(field, [[rng.randrange(field.q) for _ in range(n)]
+                        for _ in range(n)])
+        if rank(p) == n:
+            break
+    p_inv = mat_inv(p)
+    return sp.Rep(r.group, [mat_mul(mat_mul(p, g), p_inv) for g in r.gens])
+
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), family=st.sampled_from(sorted(HOM_FAMILIES)),
+       seed=st.integers(0, 10_000))
+@pytest.mark.parametrize("shape", ["source smaller", "source larger",
+                                   "endomorphisms"])
+def test_hom_space_is_the_kronecker_basis(shape, data, family, seed):
+    # the spin solver spins the smaller side, transposing when that is
+    # the target; either way the basis must be the oracle's, element for
+    # element
+    reps = HOM_FAMILIES[family]
+    if shape == "endomorphisms":
+        pairs = [(u, u) for u in reps]
+    elif shape == "source smaller":
+        pairs = [(u, w) for u in reps for w in reps if u.dim < w.dim]
+    else:
+        pairs = [(u, w) for u in reps for w in reps if u.dim > w.dim]
+    u, w = data.draw(st.sampled_from(pairs))
+    rng = random.Random(seed)
+    if w is u:
+        u = w = _in_random_basis(u, rng)
+    else:
+        u, w = _in_random_basis(u, rng), _in_random_basis(w, rng)
+    expected = hom_basis_by_kronecker(u.field, list(zip(u.gens, w.gens)),
+                                      u.dim, w.dim)
+    assert sp.hom_space(u, w) == expected
