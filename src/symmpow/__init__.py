@@ -17,7 +17,7 @@ from .meataxe import (Lcg, SplitResult, is_irreducible, simple_quotient,
                       simple_submodule, splitting_extension)
 from .construct import (Certificate, assemble, build_coset_products,
                         check_independence, find_generic_vector,
-                        is_generic_vector, verify_periodicity)
+                        is_generic_vector)
 from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
                    molien_table, occurrence_scan, verify_theorem)
 
@@ -39,7 +39,7 @@ __all__ = [
     "Lcg", "SplitResult", "is_irreducible", "simple_quotient",
     "simple_submodule", "splitting_extension",
     "Certificate", "assemble", "build_coset_products", "check_independence",
-    "find_generic_vector", "is_generic_vector", "verify_periodicity",
+    "find_generic_vector", "is_generic_vector",
     "OccurrenceTable", "TheoremReport", "VerifyOptions",
     "molien_table", "occurrence_scan", "verify_theorem",
     "__version__",

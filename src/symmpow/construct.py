@@ -13,7 +13,10 @@ t-th power of the distinguished scalar character:
   orbit (degree |G|), and j = z - t, lives in degree m + k|G| where
   m = Nz - j; it is N-dimensional, permuted by G coset-compatibly, carries
   the central character matching W, and is isomorphic to the module
-  induced from that character;
+  induced from that character.  G permutes the factors of C, so C is
+  G-invariant and the shift-k span is the shift-0 span times C^k, with the
+  same generator matrices: every shift reuses the shift-0 build and its
+  proofs, and re-checks only what depends on the degree;
 * hence W maps nontrivially both into and out of the span, and composing
   with the inclusion of the span into the full symmetric power yields
   explicit embedding and quotient witnesses.
@@ -95,32 +98,36 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
 
 
 def build_coset_products(v, group: GroupData, v_rep: Rep):
-    """Per coset c: the product over all other cosets c' of the linear
-    form of (transversal representative of c') applied to v."""
+    """Per coset c, the product F_c over all other cosets c' of the linear
+    form of (transversal representative of c') applied to v, and the
+    product B of all N forms.  F_c is the product of the forms before c
+    times that of the forms after c: O(N) products for all N."""
     field = v_rep.field
     lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v)))
              for h in group.transversal]
-    return [reduce(poly_mul, lines[:c] + lines[c + 1:])
-            if len(lines) > 1 else poly_one(field, v_rep.dim)
-            for c in range(len(lines))]
+    prefix = [poly_one(field, v_rep.dim)]
+    for line in lines:
+        prefix.append(poly_mul(prefix[-1], line))
+    products, suffix = [], prefix[0]
+    for c in reversed(range(len(lines))):
+        products.append(poly_mul(prefix[c], suffix))
+        suffix = poly_mul(lines[c], suffix)
+    return products[::-1], prefix[-1]
 
 
-def check_independence(coset_products, j: int) -> bool:
-    """Rank of the stacked coefficient vectors of the j-th powers."""
-    if j < 1:
-        raise ValueError("power must be at least 1")
-    field = coset_products[0].field
-    rows = [poly_pow(f, j).coeffs for f in coset_products]
-    return rank(Mat._new(field, rows)) == len(coset_products)
+def check_independence(polys) -> bool:
+    """True when the coefficient vectors of polys are independent."""
+    rows = [p.coeffs for p in polys]
+    return rank(Mat._new(polys[0].field, rows)) == len(rows)
 
 
 @dataclass
 class Certificate:
-    """Full record of one verified occurrence in a symmetric power.
-
-    All polynomial and witness data is kept so an external tool can replay
-    every check.  degree is m; total_degree is m + shift * group_order.
-    """
+    """Full record of one verified occurrence in a symmetric power, in
+    degree m, with all polynomial and witness data so an external tool can
+    replay every check.  ``assemble`` verifies the shifts m + k|G| without
+    recording them: shift and total_degree are report-schema fields that
+    are always 0 and m."""
 
     field: FieldSpec
     extension_degree: int
@@ -149,12 +156,16 @@ def _require(flags: dict, name: str, ok: bool):
         raise TheoremViolation(f"verified identity failed: {name}")
 
 
+def _intertwines(a_gens, b_gens, x: Mat) -> bool:
+    """True when a x = x b for every pair of generator images."""
+    return all(mat_mul(a, x) == mat_mul(x, b) for a, b in zip(a_gens, b_gens))
+
+
 def _align_to_common_field(group: GroupData, w: Rep, v, v_field: FieldSpec):
     """Push w, the defining action, and v into one common extension."""
-    f0 = group.field.f
     target = lcm(w.field.f, v_field.f)
     w_ext = extend_scalars(w, target // w.field.f)
-    v_rep = extend_scalars(defining_rep(group), target // f0)
+    v_rep = extend_scalars(defining_rep(group), target // group.field.f)
     if v_field.f == target:
         v_t = tuple(v)
     else:
@@ -166,12 +177,53 @@ def _align_to_common_field(group: GroupData, w: Rep, v, v_field: FieldSpec):
     return w_ext, v_rep, v_t
 
 
-def assemble(w: Rep, k: int = 0,
+def _span_action(flags: dict, v_rep: Rep, span_polys, degree: int,
+                 expected=None):
+    """Check the span's degree and dimension; return Sym^degree of v_rep
+    and the generator images on the span, read off the coset permutation
+    (they must equal expected when it is given).  Generators suffice: a
+    span they stabilize is stable, and a map intertwining them is a
+    homomorphism."""
+    group, field = v_rep.group, v_rep.field
+    n = len(span_polys)
+    _require(flags, "span_degree",
+             all(p.basis.m == degree for p in span_polys))
+    _require(flags, "span_dimension", check_independence(span_polys))
+    sym_rep = sym_power(v_rep, degree)
+    gens = []
+    for g, sym_g in zip(group.generator_indices, sym_rep.gens):
+        rows = [[0] * n for _ in range(n)]
+        for c in range(n):
+            y = mat_vec(sym_g, span_polys[c].coeffs)
+            c2 = group.coset_of[group.prod(g, group.transversal[c])]
+            rows[c2][c] = _ratio(field, y, span_polys[c2].coeffs)
+            _require(flags, "coset_permutation", rows[c2][c])
+        gens.append(Mat._new(field, rows))
+    _require(flags, "coset_permutation", expected is None or gens == expected)
+    return sym_rep, gens
+
+
+def _witnesses(flags: dict, sym_rep: Rep, w_ext: Rep, span_polys, hs_in):
+    """Embedding of w through the span and quotient of sym_rep onto w."""
+    embedding = mat_mul(transpose(Mat._new(
+        sym_rep.field, [p.coeffs for p in span_polys])), hs_in[0])
+    _require(flags, "embedding_witness", rank(embedding) == w_ext.dim
+             and _intertwines(sym_rep.gens, w_ext.gens, embedding))
+    hs_quot = hom_space(sym_rep, w_ext)
+    _require(flags, "quotient_exists", bool(hs_quot))
+    quotient = hs_quot[0]
+    _require(flags, "quotient_witness", rank(quotient) == w_ext.dim
+             and _intertwines(w_ext.gens, sym_rep.gens, quotient))
+    return embedding, quotient
+
+
+def assemble(w: Rep, k_max: int = 0,
              cap_dim: int = DEFAULT_DIM_CAP) -> Certificate:
-    """Build and verify the span certifying that w occurs in the
-    symmetric power of degree m + k|G|, whose dimension must not exceed
-    cap_dim (CapExceeded)."""
-    if k < 0:
+    """Build and verify the span certifying that w occurs in Sym^m, and
+    verify it again, times C^k, in Sym^(m + k|G|) for k = 1..k_max.
+    Returns the degree-m certificate.  A power up to degree m + k_max|G|
+    of dimension above cap_dim raises CapExceeded before any work."""
+    if k_max < 0:
         raise ValueError("shift must be nonnegative")
     group = w.group
     scalar_flag, t = restrict_scalar_character(w)
@@ -179,106 +231,63 @@ def assemble(w: Rep, k: int = 0,
         raise ValueError("center does not act by scalars on this module "
                          "over its field; extend scalars first")
 
-    zn = group.center_order
-    order = group.order
+    zn, order = group.center_order, group.order
     central = zn == order
     j = zn - t
     # a central group has one coset, so m = t, or z when t = 0
     m = group.coset_count * zn - j or zn
+    if not central and not (1 <= j <= zn and 1 <= m < order):
+        raise TheoremViolation(f"degree bookkeeping out of range: "
+                               f"t={t} j={j} m={m} order={order}")
+    check_sym_dim(group.dim, m + k_max * order, cap_dim)
 
-    if central:
-        v, v_field = (0,) * (group.dim - 1) + (1,), group.field
-    else:
-        if not (1 <= j <= zn and 1 <= m < order):
-            raise TheoremViolation(f"degree bookkeeping out of range: "
-                                   f"t={t} j={j} m={m} order={order}")
-        v, v_field = find_generic_vector(group, defining_rep(group))
-    total_degree = m + k * order
-    check_sym_dim(group.dim, total_degree, cap_dim)
+    v, v_field = (((0,) * (group.dim - 1) + (1,), group.field) if central
+                  else find_generic_vector(group, defining_rep(group)))
     w_ext, v_rep, v_t = _align_to_common_field(group, w, v, v_field)
+    field, flags = v_rep.field, {}
 
-    field = v_rep.field
-    flags: dict = {}
-
-    coset_products = build_coset_products(v_t, group, v_rep)
-    _require(flags, "coset_powers_independent",
-             check_independence(coset_products, j))
-
-    # coset 0 is the identity coset, so F_0 lacks exactly the line of v
-    transversal_product = poly_mul(coset_products[0],
-                                   poly_from_vector(field, list(v_t)))
+    coset_products, transversal_product = build_coset_products(v_t, group,
+                                                               v_rep)
+    powers = [poly_pow(f_c, j) for f_c in coset_products]
+    _require(flags, "coset_powers_independent", check_independence(powers))
     orbit_product = reduce(poly_mul, (
         poly_from_vector(field, mat_vec(v_rep.images[g], list(v_t)))
         for g in range(order)))
 
-    span_polys = []
-    for f_c in coset_products:
-        p = poly_pow(f_c, j)
-        if t >= 1:
-            p = poly_mul(p, poly_pow(transversal_product, t))
-        elif central:
-            p = poly_mul(p, orbit_product)
-        if k >= 1:
-            p = poly_mul(p, poly_pow(orbit_product, k))
-        span_polys.append(p)
-    _require(flags, "span_degree",
-             all(p.basis.m == total_degree for p in span_polys))
+    tail = (poly_pow(transversal_product, t) if t >= 1
+            else orbit_product if central else None)
+    span_polys = powers if tail is None else [poly_mul(p, tail)
+                                              for p in powers]
 
-    n_span = len(span_polys)
-    span_matrix = Mat._new(field, [p.coeffs for p in span_polys])
-    _require(flags, "span_dimension", rank(span_matrix) == n_span)
-
-    # every check below runs on generator images: a subspace stable under
-    # the generators is stable under the group, and a map intertwining the
-    # generators is a module homomorphism
-    sym_rep = sym_power(v_rep, total_degree)
-
-    span_gens = []
-    for g, sym_g in zip(group.generator_indices, sym_rep.gens):
-        img_rows = [[0] * n_span for _ in range(n_span)]
-        for c in range(n_span):
-            y = mat_vec(sym_g, span_polys[c].coeffs)
-            c2 = group.coset_of[group.prod(g, group.transversal[c])]
-            ratio = _ratio(field, y, span_polys[c2].coeffs)
-            if not ratio:
-                _require(flags, "coset_permutation", False)
-            img_rows[c2][c] = ratio
-        span_gens.append(Mat._new(field, img_rows))
-    _require(flags, "coset_permutation", True)
+    sym_rep, span_gens = _span_action(flags, v_rep, span_polys, m)
     span_rep = Rep(group, span_gens)
+    n_span = len(span_polys)
     span_images = span_rep.images
 
     lam_ext = field_embedding(group.field, field)[group.lam]
-    z_img = span_images[group.z_generator_index]
-    _require(flags, "center_character",
-             scalar_of(z_img) == field.pow(lam_ext, t))
+    _require(flags, "center_character", scalar_of(
+        span_images[group.z_generator_index]) == field.pow(lam_ext, t))
 
     induced = induced_from_center(group, t, field)
     phi = Mat._new(field, [[span_images[group.transversal[c]].rows[u][0]
                             for c in range(n_span)] for u in range(n_span)])
-    iso_ok = rank(phi) == n_span and all(
-        mat_mul(a, phi) == mat_mul(phi, b)
-        for a, b in zip(span_rep.gens, induced.gens))
-    _require(flags, "induced_isomorphism", iso_ok)
+    _require(flags, "induced_isomorphism", rank(phi) == n_span
+             and _intertwines(span_rep.gens, induced.gens, phi))
 
     hs_in = hom_space(w_ext, span_rep)
-    hs_out = hom_space(span_rep, w_ext)
-    _require(flags, "module_occurs_in_span", bool(hs_in and hs_out))
+    _require(flags, "module_occurs_in_span",
+             bool(hs_in and hom_space(span_rep, w_ext)))
+    embedding, quotient = _witnesses(flags, sym_rep, w_ext, span_polys, hs_in)
 
-    span_cols = transpose(span_matrix)
-    embedding = mat_mul(span_cols, hs_in[0])
-    emb_ok = rank(embedding) == w_ext.dim and all(
-        mat_mul(a, embedding) == mat_mul(embedding, b)
-        for a, b in zip(sym_rep.gens, w_ext.gens))
-    _require(flags, "embedding_witness", emb_ok)
-
-    hs_quot = hom_space(sym_rep, w_ext)
-    _require(flags, "quotient_exists", bool(hs_quot))
-    quotient = hs_quot[0]
-    quot_ok = rank(quotient) == w_ext.dim and all(
-        mat_mul(b, quotient) == mat_mul(quotient, a)
-        for a, b in zip(sym_rep.gens, w_ext.gens))
-    _require(flags, "quotient_witness", quot_ok)
+    # C is G-invariant, so the span times C^k is permuted exactly as the
+    # span is; that checked, the center character, the induced
+    # isomorphism and hs_in hold at every shift as proved at shift 0
+    shifted = span_polys
+    for k in range(1, k_max + 1):
+        shifted = [poly_mul(p, orbit_product) for p in shifted]
+        sym_k, _ = _span_action(flags, v_rep, shifted, m + k * order,
+                                span_gens)
+        _witnesses(flags, sym_k, w_ext, shifted, hs_in)
 
     return Certificate(
         field=field,
@@ -290,8 +299,8 @@ def assemble(w: Rep, k: int = 0,
         center_order=zn,
         group_order=order,
         degree=m,
-        shift=k,
-        total_degree=total_degree,
+        shift=0,
+        total_degree=m,
         coset_products=coset_products,
         transversal_product=transversal_product,
         orbit_product=orbit_product,
@@ -301,15 +310,3 @@ def assemble(w: Rep, k: int = 0,
         central=central,
         flags=flags,
     )
-
-
-def verify_periodicity(w: Rep, cert: Certificate, k_max: int,
-                       cap_dim: int = DEFAULT_DIM_CAP):
-    """Rerun the assembly at shifts 1..k_max; every run must verify."""
-    out = []
-    for k in range(1, k_max + 1):
-        shifted = assemble(w, k, cap_dim)
-        if shifted.degree != cert.degree or shifted.char_exponent != cert.char_exponent:
-            raise TheoremViolation("shifted certificate disagrees on degree data")
-        out.append(all(shifted.flags.values()))
-    return out

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -191,6 +192,19 @@ def test_cap_dim_bounds_construct(capsys):
                 "--m-max", "1", "--k-max", "1"]) == 3
     err = capsys.readouterr().err
     assert "exceeds the cap" in err and "Traceback" not in err
+
+
+def test_cap_dim_bounds_the_largest_shift_up_front(capsys):
+    # dim Sym^(5 + 6k) = 6k + 6, so k_max = 10^6 is far past the default
+    # cap of 5000 and is refused before the first shift is built.  A 1-dim
+    # V is out of reach of this check: dim Sym^M = 1 for every M, so
+    # cap_dim never binds there and k_max alone sets the work.
+    s3 = str(PROBLEMS / "s3_gf7.json")
+    start = time.perf_counter()
+    assert run(["construct", "--input", s3, "--k-max", "1000000"]) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "Sym^6000005 " in err and "Traceback" not in err
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
