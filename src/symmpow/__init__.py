@@ -11,7 +11,7 @@ from .groups import (GroupData, build_group, center_scalars, coset_transversal,
 from .reps import (MonomialBasis, PolyVec, Rep, defining_rep, dual_rep,
                    extend_scalars, induced_from_center, monomial_basis,
                    paired_rep, poly_from_vector, poly_mul, poly_one, poly_pow,
-                   restrict_scalar_character, sym_power)
+                   restrict_scalar_character, sym_power, sym_powers)
 from .homs import hom_space
 from .meataxe import (Lcg, SplitResult, is_irreducible, simple_quotient,
                       simple_submodule, splitting_extension)
@@ -34,7 +34,7 @@ __all__ = [
     "MonomialBasis", "PolyVec", "Rep", "defining_rep", "dual_rep",
     "extend_scalars", "induced_from_center", "monomial_basis", "paired_rep",
     "poly_from_vector", "poly_mul", "poly_one", "poly_pow",
-    "restrict_scalar_character", "sym_power",
+    "restrict_scalar_character", "sym_power", "sym_powers",
     "hom_space",
     "Lcg", "SplitResult", "is_irreducible", "simple_quotient",
     "simple_submodule", "splitting_extension",

@@ -71,18 +71,10 @@ def _fail(msg: str):
 
 
 def decode_element(field: FieldSpec, obj, where: str) -> int:
-    if field.f == 1:
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            _fail(f"{where}: expected an integer field element")
-        if not 0 <= obj < field.q:
-            _fail(f"{where}: element {obj} out of range for GF({field.q})")
-        return obj
-    if not isinstance(obj, list) or len(obj) != field.f:
-        _fail(f"{where}: expected a coefficient list of length {field.f}")
-    for c in obj:
-        if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < field.p:
-            _fail(f"{where}: coefficient {c!r} out of range for GF({field.p})")
-    return field.element(obj)
+    try:
+        return field.from_json(obj)
+    except ValueError as exc:
+        _fail(f"{where}: {exc}")
 
 
 def decode_matrix(field: FieldSpec, obj, where: str) -> Mat:
@@ -165,14 +157,8 @@ def check_options(options: dict):
 # ---------------------------------------------------------------------------
 # encoding
 
-def enc_element(field: FieldSpec, code: int):
-    if field.f == 1:
-        return code
-    return list(field.coeffs(code))
-
-
 def enc_vector(field: FieldSpec, vec):
-    return [enc_element(field, x) for x in vec]
+    return [field.to_json(x) for x in vec]
 
 
 def enc_matrix(m: Mat):

@@ -12,6 +12,13 @@ in three O(q) tables over the least generator g of GF(q)*: exp, log, and
 the Zech logarithm Z with 1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).
 Larger fields decode both operands to coefficient vectors on every call.
 
+Two row kernels carry the row arithmetic of ``linalg``, ``homs`` and
+``reps``: ``row_sub(xs, f, ys)`` is the row xs - f*ys, and
+``row_comb(coeffs, rows, n)`` the length-n row sum(c*row) over the nonzero
+coefficients, each row given sparsely as (column, value) pairs.  Over a
+prime field they run on plain ints with one ``% p`` per entry; over an
+extension they call the element operations.
+
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree f over Z_p, coefficients compared lowest degree first,
 unless the caller supplies one explicitly.  For f = 1 the modulus is the
@@ -103,13 +110,14 @@ class FieldSpec:
 
     Use :func:`make_field` to construct.  The bound callables ``add``,
     ``sub``, ``neg``, ``mul``, ``inv`` and ``pow`` are the element
-    operations; ``coeffs``/``element`` convert between int codes and
-    coefficient vectors.
+    operations, ``row_sub`` and ``row_comb`` the row kernels;
+    ``coeffs``/``element`` convert between int codes and coefficient
+    vectors.
     """
 
     __slots__ = (
         "p", "f", "q", "modulus",
-        "add", "sub", "neg", "mul", "inv", "pow",
+        "add", "sub", "neg", "mul", "inv", "pow", "row_sub", "row_comb",
         "_exp", "_log",
     )
 
@@ -123,6 +131,21 @@ class FieldSpec:
             self._setup_prime()
         else:
             self._setup_extension()
+            # the row kernels of an extension call the element operations
+            add, sub, mul = self.add, self.sub, self.mul
+
+            def row_sub(xs, f, ys):
+                return [sub(x, mul(f, y)) if y else x for x, y in zip(xs, ys)]
+
+            def row_comb(coeffs, rows, n):
+                acc = [0] * n
+                for c, row in zip(coeffs, rows):
+                    if c:
+                        for j, y in row:
+                            acc[j] = add(acc[j], mul(c, y))
+                return acc
+
+            self.row_sub, self.row_comb = row_sub, row_comb
 
     # construction helpers -------------------------------------------------
 
@@ -151,8 +174,21 @@ class FieldSpec:
                 return pow(inv(a), -e, p)
             return pow(a, e, p)
 
+        # int rows accumulate unreduced and take one % p per entry
+        def row_sub(xs, f, ys):
+            return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+        def row_comb(coeffs, rows, n):
+            acc = [0] * n
+            for c, row in zip(coeffs, rows):
+                if c:
+                    for j, y in row:
+                        acc[j] += c * y
+            return [s % p for s in acc]
+
         self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
             add, sub, neg, mul, inv, pw)
+        self.row_sub, self.row_comb = row_sub, row_comb
 
     def _raw_coeffs(self, a):
         p, f = self.p, self.f
@@ -329,9 +365,26 @@ class FieldSpec:
             raise ValueError(
                 f"expected {self.f} coefficients, got {len(coeffs)}")
         for c in coeffs:
-            if not isinstance(c, int) or not 0 <= c < self.p:
+            if (isinstance(c, bool) or not isinstance(c, int)
+                    or not 0 <= c < self.p):
                 raise ValueError(f"coefficient {c} not a residue mod {self.p}")
         return self._raw_encode(coeffs)
+
+    def to_json(self, a: int):
+        """Element a as reports write it: the int itself over a prime field,
+        its coefficient vector over an extension."""
+        return a if self.f == 1 else self.coeffs(a)
+
+    def from_json(self, obj) -> int:
+        """The element that to_json writes as obj; ValueError otherwise."""
+        if self.f > 1:
+            if not isinstance(obj, list):
+                raise ValueError(f"expected a list of {self.f} coefficients")
+            return self.element(obj)
+        if (isinstance(obj, bool) or not isinstance(obj, int)
+                or not 0 <= obj < self.q):
+            raise ValueError(f"{obj!r} is not an element of {self!r}")
+        return obj
 
     # dunder ---------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .reps import Rep
 def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
     """Transposes of a basis of the nv x nu X with X a = b X for all
     (a, transpose(b)) in pairs; T_i is kept as its k columns."""
-    sub, mul = field.sub, field.mul
+    row_sub, mul = field.row_sub, field.mul
     ech, ts = [], []  # spin vectors in semi-echelon form (pivot, row); T_i
     k = 0
 
@@ -34,9 +34,8 @@ def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
         for (p, row), t in zip(ech, ts):
             f = w[p]
             if f:
-                w = [sub(x, mul(f, y)) for x, y in zip(w, row)]
-                cols = [[sub(x, mul(f, y)) for x, y in zip(c, q)]
-                        for c, q in zip(cols, t)]
+                w = row_sub(w, f, row)
+                cols = [row_sub(c, f, q) for c, q in zip(cols, t)]
         return w, cols
 
     def adjoin(w, cols):

@@ -70,33 +70,18 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    add, mul = a.field.add, a.field.mul
-    b_rows = b.rows
-    out = []
-    for arow in a.rows:
-        row = [0] * b.ncols
-        for k, av in enumerate(arow):
-            if av:
-                brow = b_rows[k]
-                for j, bv in enumerate(brow):
-                    if bv:
-                        row[j] = add(row[j], mul(av, bv))
-        out.append(row)
-    return Mat._new(a.field, out)
+    # row i combines b's rows, listed by their nonzeros, by row i of a
+    comb, n = a.field.row_comb, b.ncols
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
+    return Mat._new(a.field, [comb(arow, nonzero, n) for arow in a.rows])
 
 
 def mat_vec(a: Mat, v) -> list:
     if len(v) != a.ncols:
         raise ValueError("vector length mismatch")
-    add, mul = a.field.add, a.field.mul
-    out = []
-    for row in a.rows:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return out
+    # a v is a times the one-column matrix v
+    comb, col = a.field.row_comb, [[(0, y)] if y else () for y in v]
+    return [comb(row, col, 1)[0] for row in a.rows]
 
 
 def rref(a: Mat):
@@ -106,7 +91,7 @@ def rref(a: Mat):
     nonzero entry scanning rows top down, which fixes the output uniquely.
     """
     field = a.field
-    sub, mul, inv = field.sub, field.mul, field.inv
+    row_sub, mul, inv = field.row_sub, field.mul, field.inv
     rows = [list(r) for r in a.rows]
     nrows, ncols = a.nrows, a.ncols
     pivots = []
@@ -129,8 +114,7 @@ def rref(a: Mat):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 ri = rows[i]
-                rows[i] = ri[:c] + [sub(x, mul(f, y))
-                                    for x, y in zip(ri[c:], tail)]
+                rows[i] = ri[:c] + row_sub(ri[c:], f, tail)
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -17,6 +17,13 @@ Conventions that every downstream module relies on:
 * Symmetric powers are spaces of polynomials; divided powers are not used,
   so in characteristic p the action can be non-semisimple.  That is
   intentional.
+* Sym^m is built two ways with the same result.  ``sym_power`` expands
+  each column directly as a product of powers of the transformed
+  variables, the cheaper route to a single degree (construct, and a
+  scan's row beyond its depth).  ``sym_powers`` yields Sym^1, Sym^2, ...
+  for a scan, each degree from the one before: column alpha of Sym^m(g)
+  is column alpha - e_i of Sym^(m-1)(g) times g.x_i, i the first variable
+  of alpha.
 """
 
 from __future__ import annotations
@@ -217,7 +224,11 @@ def _linear_forms(m: Mat):
             for i in range(n)]
 
 
-def _sym_image(m: Mat, basis: MonomialBasis) -> Mat:
+def _sym_image(m: Mat, basis: MonomialBasis, prev: Mat = None) -> Mat:
+    """The image of m on Sym^d, d = basis.m, built directly or, when
+    given, from prev, the image of m on Sym^(d-1)."""
+    if prev is not None:
+        return _sym_image_from(m, basis, prev)
     field = m.field
     n = basis.n
     forms = _linear_forms(m)
@@ -245,23 +256,56 @@ def _sym_image(m: Mat, basis: MonomialBasis) -> Mat:
     return Mat._new(field, rows)
 
 
+def _sym_image_from(m: Mat, basis: MonomialBasis, prev: Mat) -> Mat:
+    # times x_j, the coefficient of beta moves to beta + e_j, so column
+    # alpha is a combination of prev's column alpha - e_i, shifted
+    n = basis.n
+    lower = monomial_basis(n, basis.m - 1)
+    shifts = [[basis.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
+               for e in lower.exponents] for j in range(n)]
+    prev_cols = [[(k, x) for k, x in enumerate(col) if x]
+                 for col in zip(*prev.rows)]
+    forms = [[m.rows[j][i] for j in range(n)] for i in range(n)]
+    comb, dim = m.field.row_comb, len(basis)
+    cols = []
+    for alpha in basis.exponents:
+        i = next(k for k, a in enumerate(alpha) if a)
+        col = prev_cols[lower.index[alpha[:i] + (alpha[i] - 1,)
+                                    + alpha[i + 1:]]]
+        cols.append(comb(forms[i], [[(up[k], x) for k, x in col]
+                                    for up in shifts], dim))
+    return Mat._new(m.field, [list(r) for r in zip(*cols)])
+
+
 def check_sym_dim(n: int, m: int, cap: int):
-    """Raise CapExceeded when Sym^m of an n-dim space is larger than cap."""
+    """Raise CapExceeded when Sym^m of an n-dim space, or m itself, is
+    larger than cap; dim Sym^m >= m + 1 for n >= 2, so m binds at n = 1."""
     dim = comb(n + m - 1, m)
     if dim > cap:
         raise CapExceeded(f"dim Sym^{m} = {dim} exceeds the cap {cap}")
+    if m > cap:
+        raise CapExceeded(f"Sym^{m}: the degree {m} exceeds the cap {cap}")
 
 
 def sym_power(v: Rep, m: int) -> Rep:
-    """Action on degree-m polynomials in dim(V) variables.
-
-    Each generator image column is the expanded product of transformed
+    """Action on degree-m polynomials in dim(V) variables, built directly:
+    each generator image column is the expanded product of transformed
     variables for the corresponding basis monomial.
     """
     if m < 0:
         raise ValueError("negative symmetric power")
     basis = monomial_basis(v.dim, m)
     return Rep(v.group, [_sym_image(g, basis) for g in v.gens])
+
+
+def sym_powers(v: Rep, m_max: int):
+    """Yield Sym^1(v), ..., Sym^m_max(v), each degree built from the one
+    before, which is the only one kept."""
+    gens = [identity(v.field, 1)] * len(v.gens)
+    for m in range(1, m_max + 1):
+        basis = monomial_basis(v.dim, m)
+        gens = [_sym_image(g, basis, prev) for g, prev in zip(v.gens, gens)]
+        yield Rep(v.group, gens)
 
 
 def dual_rep(r: Rep) -> Rep:

@@ -2,7 +2,10 @@
 
 occurrence_scan brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
 for m = 1..m_max from generator images of Sym^m V alone; each degree
-costs two spins of W, with dim Sym^m V unknowns per seed (see homs).
+costs two spins of W, with dim Sym^m V unknowns per seed (see homs).  The
+scan takes its Sym^m V from sym_powers, each degree built from the one
+before; a single degree beyond the scan (verify_theorem's row at a
+certified degree) is built directly by sym_power.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -33,7 +36,7 @@ from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, extend_scalars,
-                   sym_power)
+                   sym_power, sym_powers)
 
 
 @dataclass
@@ -48,8 +51,7 @@ class OccurrenceTable:
     molien_multiplicities: list | None = None
 
 
-def _scan_one(v: Rep, w: Rep, m: int):
-    sym = sym_power(v, m)
+def _scan_one(sym: Rep, w: Rep, m: int):
     return m, len(hom_space(w, sym)), len(hom_space(sym, w))
 
 
@@ -63,7 +65,8 @@ def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     check_sym_dim(v.dim, m_max, cap_dim)
-    rows = [_scan_one(v, w, m) for m in range(1, m_max + 1)]
+    rows = [_scan_one(sym, w, m)
+            for m, sym in enumerate(sym_powers(v, m_max), 1)]
     minimal_sub = next((m for m, s, _ in rows if s > 0), None)
     minimal_quot = next((m for m, _, qd in rows if qd > 0), None)
     return OccurrenceTable(label=label, rows=rows,
@@ -283,7 +286,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
         if m <= m_max:
             return table.rows[m - 1]
         check_sym_dim(v.dim, m, opts.cap_dim)
-        return _scan_one(v, w, m)
+        return _scan_one(sym_power(v, m), w, m)
 
     row_sub = row_at(cert_sub.degree)
     row_quot = (row_sub if cert_quot.degree == cert_sub.degree

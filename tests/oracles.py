@@ -5,6 +5,7 @@ deliberately plain route, and is too slow for anything but desk-scale
 tests.
 """
 
+from functools import reduce
 from itertools import product
 
 from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rref
@@ -134,3 +135,57 @@ def hom_basis_by_kronecker(field, pairs, nu: int, nv: int):
     vecs = null_space(Mat._new(field, rows))
     return [Mat._new(field, [vec[i * nu:(i + 1) * nu] for i in range(nv)])
             for vec in vecs]
+
+
+# Per-element references for the row kernels: each entry is built from
+# field.add and field.mul alone, with no zero skipping and no deferred
+# reduction.
+
+def mat_mul_by_entries(a: Mat, b: Mat) -> list:
+    add, mul = a.field.add, a.field.mul
+    return [[reduce(add, map(mul, row, col), 0) for col in zip(*b.rows)]
+            for row in a.rows]
+
+
+def mat_vec_by_entries(a: Mat, v) -> list:
+    add, mul = a.field.add, a.field.mul
+    return [reduce(add, map(mul, row, v), 0) for row in a.rows]
+
+
+def rref_by_entries(a: Mat):
+    """(rows, rank, pivots) of the reduced row echelon form, by
+    Gauss-Jordan elimination one entry at a time."""
+    field = a.field
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    rows = [list(r) for r in a.rows]
+    pivots = []
+    for c in range(a.ncols):
+        r = len(pivots)
+        below = [i for i in range(r, a.nrows) if rows[i][c]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = [mul(s, x) for x in rows[r]]
+        for i in range(a.nrows):
+            if i != r:
+                f = neg(rows[i][c])
+                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), pivots
+
+
+def null_space_by_entries(a: Mat) -> list:
+    """One kernel vector per free column of rref_by_entries(a), with the
+    free coordinate 1, as null_space orders them."""
+    rows, _, pivots = rref_by_entries(a)
+    basis = []
+    for j in range(a.ncols):
+        if j in pivots:
+            continue
+        vec = [0] * a.ncols
+        vec[j] = 1
+        for k, pc in enumerate(pivots):
+            vec[pc] = a.field.neg(rows[k][j])
+        basis.append(vec)
+    return basis

@@ -196,15 +196,25 @@ def test_cap_dim_bounds_construct(capsys):
 
 def test_cap_dim_bounds_the_largest_shift_up_front(capsys):
     # dim Sym^(5 + 6k) = 6k + 6, so k_max = 10^6 is far past the default
-    # cap of 5000 and is refused before the first shift is built.  A 1-dim
-    # V is out of reach of this check: dim Sym^M = 1 for every M, so
-    # cap_dim never binds there and k_max alone sets the work.
+    # cap of 5000 and is refused before the first shift is built
     s3 = str(PROBLEMS / "s3_gf7.json")
     start = time.perf_counter()
     assert run(["construct", "--input", s3, "--k-max", "1000000"]) == 3
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert "Sym^6000005 " in err and "Traceback" not in err
+
+
+def test_cap_dim_bounds_the_degree_of_a_1_dim_v(capsys):
+    # dim Sym^M = 1 for every M when dim V = 1, so the cap binds on the
+    # degree M = m + k_max |G| itself
+    c3 = str(PROBLEMS / "c3_gf7.json")
+    start = time.perf_counter()
+    assert run(["construct", "--input", c3, "--k-max", "1000000"]) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds the cap 5000" in err and "Traceback" not in err
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -16,7 +16,9 @@ from symmpow.linalg import (Mat, mat_inv, mat_mul, mat_vec, null_space, rank,
                             rref)
 from symmpow.reps import monomial_basis
 
-from oracles import apply_to_poly, hom_basis_by_kronecker
+from oracles import (apply_to_poly, hom_basis_by_kronecker,
+                     mat_mul_by_entries, mat_vec_by_entries,
+                     null_space_by_entries, rref_by_entries)
 
 pytestmark = pytest.mark.properties
 
@@ -122,6 +124,37 @@ def test_rank_nullity_and_rref_shape(data, nrows, ncols):
     for j, p in enumerate(pivots):
         col = [r.rows[i][p] for i in range(nrows)]
         assert col[j] == 1 and all(x == 0 for i, x in enumerate(col) if i != j)
+
+
+# GF(2^31 - 1) makes the prime kernels' unreduced sums large ints
+KERNEL_FIELDS = (sp.make_field(2), sp.make_field(5),
+                 sp.make_field(2 ** 31 - 1), sp.make_field(5, 2))
+
+
+@COMMON
+@given(data=st.data(), fi=st.integers(0, len(KERNEL_FIELDS) - 1),
+       nrows=st.integers(1, 6), inner=st.integers(1, 6),
+       ncols=st.integers(1, 6))
+def test_row_kernels_match_per_element_reference(data, fi, nrows, inner,
+                                                 ncols):
+    F = KERNEL_FIELDS[fi]
+    # zeros drawn often, for the zero skipping, and a as a product through
+    # a random inner dimension, so that it is often rank deficient
+    entry = st.one_of(st.just(0), st.just(F.q - 1), st.integers(0, F.q - 1))
+
+    def matrix(r, c):
+        return Mat(F, [[data.draw(entry) for _ in range(c)]
+                       for _ in range(r)])
+
+    x, y, b = matrix(nrows, inner), matrix(inner, ncols), matrix(ncols, inner)
+    a = Mat(F, mat_mul_by_entries(x, y))
+    assert mat_mul(x, y).rows == a.rows
+    assert mat_mul(a, b).rows == mat_mul_by_entries(a, b)
+    v = [data.draw(entry) for _ in range(ncols)]
+    assert mat_vec(a, v) == mat_vec_by_entries(a, v)
+    reduced, rk, pivots = rref(a)
+    assert (reduced.rows, rk, list(pivots)) == rref_by_entries(a)
+    assert null_space(a) == null_space_by_entries(a)
 
 
 @COMMON

@@ -1,6 +1,7 @@
 """Representation building blocks: monomial bases, symmetric powers,
 polynomial action, duals, scalar extension, central characters."""
 
+import random
 from itertools import product
 from math import comb
 
@@ -8,7 +9,8 @@ import pytest
 
 import symmpow as sp
 from symmpow.fields import extend_field
-from symmpow.linalg import Mat, identity, mat_mul, mat_vec, transpose
+from symmpow.linalg import (Mat, identity, mat_inv, mat_mul, mat_vec, rank,
+                            transpose)
 from symmpow.reps import _sym_image
 
 from oracles import apply_to_poly, hom_defect_count
@@ -221,3 +223,36 @@ def test_replayed_images_match_per_element_constructions(s3, q8, sl23):
         for t in range(group.center_order):
             assert sp.induced_from_center(group, t).images == \
                 _induced_oracle(group, t)
+
+
+# the signed permutation matrices of bench/inputs.py's B3 document, a
+# 3-dim V over GF(7)
+B3_GENS = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+           [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+           [[6, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("e", [1, 2], ids=["prime", "extension"])
+@pytest.mark.parametrize("name, depth", [("c6", 20), ("sl23", 20),
+                                         ("b3", 10)])
+def test_sym_powers_match_sym_power(request, name, depth, e):
+    # each degree of sym_powers is built from the one before; it must be
+    # the direct build at every degree, in a basis where V is dense
+    if name == "b3":
+        group = sp.build_group([Mat(sp.make_field(7), g) for g in B3_GENS])
+        v = sp.defining_rep(group)
+    else:
+        v = request.getfixturevalue(name)[1]
+    rng = random.Random(name)
+    while True:
+        p = Mat(v.field, [[rng.randrange(v.field.q) for _ in range(v.dim)]
+                          for _ in range(v.dim)])
+        if rank(p) == v.dim:
+            break
+    v = sp.extend_scalars(sp.Rep(v.group, [mat_mul(mat_mul(p, g), mat_inv(p))
+                                           for g in v.gens]), e)
+    degrees = 0
+    for m, sym in enumerate(sp.sym_powers(v, depth), 1):
+        assert sym.gens == sp.sym_power(v, m).gens, m
+        degrees = m
+    assert degrees == depth
