@@ -14,7 +14,7 @@ import argparse
 import csv
 import pathlib
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -22,8 +22,7 @@ from symmpow import (Mat, build_group, defining_rep, make_field, mult_order,
                      occurrence_scan, paired_rep, sym_power)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     family: str
     p: int
     f: int
@@ -54,7 +53,7 @@ def cyclic_rows(p: int, k: int, m_max: int) -> list[ScanRow]:
     rows = []
     for t in range(k):
         w = paired_rep(group, [Mat(field, [[pow(g, t, field.q)]])])
-        table = occurrence_scan(v, w, m_max=cap, label=f"chi{t}")
+        table = occurrence_scan(v, w, m_max=cap)
         rows.append(ScanRow("cyclic", p, 1, group.order, group.center_order,
                             f"chi{t}", 1, table.minimal_sub_m,
                             table.minimal_quot_m, table.bound, cap))
@@ -72,7 +71,7 @@ def sl2_rows(p: int, m_max: int) -> list[ScanRow]:
     for j in range(p):
         w = sym_power(v, j)
         label = f"sym{j}"
-        table = occurrence_scan(v, w, m_max=cap, label=label)
+        table = occurrence_scan(v, w, m_max=cap)
         rows.append(ScanRow("sl2", p, 1, group.order, group.center_order,
                             label, w.dim, table.minimal_sub_m,
                             table.minimal_quot_m, table.bound, cap))
@@ -100,13 +99,8 @@ def main(argv=None) -> int:
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink)
-        writer.writerow(["family", "p", "f", "group_order", "center_order",
-                         "module", "dim", "min_sub", "min_quot", "bound",
-                         "scanned_to"])
-        for r in rows:
-            writer.writerow([r.family, r.p, r.f, r.group_order,
-                             r.center_order, r.module, r.dim, r.min_sub,
-                             r.min_quot, r.bound, r.scanned_to])
+        writer.writerow(ScanRow._fields)
+        writer.writerows(rows)
     finally:
         if args.out:
             sink.close()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from typing import NamedTuple
 
 from .construct import Certificate
 from .errors import ParseError, SymmpowError
@@ -49,18 +49,16 @@ _INT_OPTIONS = {"m_max": 1, "k_max": 0, "seed": 0, "cap_group": 1,
 _OPTION_KEYS = set(_INT_OPTIONS) | {"molien"}
 
 
-@dataclass
-class ModuleSpec:
+class ModuleSpec(NamedTuple):
     label: str
     images: list
 
 
-@dataclass
-class ProblemDoc:
+class ProblemDoc(NamedTuple):
     field: FieldSpec
     generators: list
     modules: list
-    options: dict = dc_field(default_factory=dict)
+    options: dict
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +185,8 @@ def enc_certificate(cert: Certificate):
         "center_order": cert.center_order,
         "group_order": cert.group_order,
         "degree": cert.degree,
-        "shift": cert.shift,
-        "total_degree": cert.total_degree,
+        "shift": 0,
+        "total_degree": cert.degree,
         "coset_products": [enc_poly(f) for f in cert.coset_products],
         "transversal_product": enc_poly(cert.transversal_product),
         "orbit_product": enc_poly(cert.orbit_product),
@@ -258,14 +256,11 @@ def _group_summary(group: GroupData):
     }
 
 
-_VERIFY_KEYS = {f.name for f in dc_fields(VerifyOptions)}
-
-
 def _verify_options(doc: ProblemDoc) -> VerifyOptions:
     """The pipeline options among the merged ones; unset keys take the
     defaults of VerifyOptions."""
     return VerifyOptions(**{k: v for k, v in doc.options.items()
-                            if k in _VERIFY_KEYS})
+                            if k in VerifyOptions._fields})
 
 
 def _module_reps(doc: ProblemDoc, group: GroupData):

@@ -34,9 +34,9 @@ central character).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from math import lcm
+from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .fields import FieldSpec, extend_field, field_embedding
@@ -121,13 +121,12 @@ def check_independence(polys) -> bool:
     return rank(Mat._new(polys[0].field, rows)) == len(rows)
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Full record of one verified occurrence in a symmetric power, in
     degree m, with all polynomial and witness data so an external tool can
     replay every check.  ``assemble`` verifies the shifts m + k|G| without
-    recording them: shift and total_degree are report-schema fields that
-    are always 0 and m."""
+    recording them; ``cli.enc_certificate`` writes the report-schema keys
+    shift and total_degree as 0 and m."""
 
     field: FieldSpec
     extension_degree: int
@@ -138,8 +137,6 @@ class Certificate:
     center_order: int
     group_order: int
     degree: int
-    shift: int
-    total_degree: int
     coset_products: list
     transversal_product: PolyVec
     orbit_product: PolyVec
@@ -147,7 +144,7 @@ class Certificate:
     embedding_witness: Mat
     quotient_witness: Mat
     central: bool
-    flags: dict = dc_field(default_factory=dict)
+    flags: dict
 
 
 def _require(flags: dict, name: str, ok: bool):
@@ -299,8 +296,6 @@ def assemble(w: Rep, k_max: int = 0,
         center_order=zn,
         group_order=order,
         degree=m,
-        shift=0,
-        total_degree=m,
         coset_products=coset_products,
         transversal_product=transversal_product,
         orbit_product=orbit_product,

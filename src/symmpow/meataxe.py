@@ -18,8 +18,8 @@ are rref closures, and all row arithmetic goes through linalg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import NamedTuple
 
 from .errors import MeataxeInconclusive, TheoremViolation
 from .homs import hom_space
@@ -50,8 +50,7 @@ class Lcg:
         return self.next_raw() % n
 
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     """Outcome of an irreducibility test.
 
     verdict is "irreducible" or "split".  On a split, sub_rep carries
@@ -61,9 +60,9 @@ class SplitResult:
     """
 
     verdict: str
+    draws: int
+    certificate: dict
     sub_rep: Rep | None = None
-    draws: int = 0
-    certificate: dict = dc_field(default_factory=dict)
 
     @property
     def irreducible(self) -> bool:

@@ -25,9 +25,9 @@ reduce, modulo the L-th cyclotomic polynomial, to a constant divisible by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
@@ -39,11 +39,9 @@ from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, extend_scalars,
                    sym_power, sym_powers)
 
 
-@dataclass
-class OccurrenceTable:
+class OccurrenceTable(NamedTuple):
     """Per-degree hom dimensions for one module against one action."""
 
-    label: str
     rows: list                 # (m, dim Hom(W, Sym^m), dim Hom(Sym^m, W))
     minimal_sub_m: int | None
     minimal_quot_m: int | None
@@ -56,8 +54,7 @@ def _scan_one(sym: Rep, w: Rep, m: int):
 
 
 def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
-                    cap_dim: int = DEFAULT_DIM_CAP,
-                    label: str = "") -> OccurrenceTable:
+                    cap_dim: int = DEFAULT_DIM_CAP) -> OccurrenceTable:
     """Hom dimensions in both directions for every degree up to m_max."""
     group = v.group
     if m_max is None:
@@ -69,10 +66,8 @@ def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
             for m, sym in enumerate(sym_powers(v, m_max), 1)]
     minimal_sub = next((m for m, s, _ in rows if s > 0), None)
     minimal_quot = next((m for m, _, qd in rows if qd > 0), None)
-    return OccurrenceTable(label=label, rows=rows,
-                           minimal_sub_m=minimal_sub,
-                           minimal_quot_m=minimal_quot,
-                           bound=group.order)
+    return OccurrenceTable(rows=rows, minimal_sub_m=minimal_sub,
+                           minimal_quot_m=minimal_quot, bound=group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -84,35 +79,23 @@ def _cyclotomic(L: int):
     poly = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            poly = _poly_div_exact(poly, list(_cyclotomic(d)))
+            poly, rem = _poly_divmod(poly, _cyclotomic(d))
+            assert not any(rem), "non-exact polynomial division"
     return tuple(poly)
 
 
-def _poly_div_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[k] = q
-        if q:
-            for i, d in enumerate(den):
-                num[k + i] -= q * d
-    assert not any(num), "non-exact polynomial division"
-    return out
-
-
-def _poly_mod(num, den):
+def _poly_divmod(num, den):
+    """Quotient and remainder of num by the monic den, coefficient lists
+    with the constant term first."""
     num = list(num)
     dn = len(den) - 1
-    for k in range(len(num) - 1 - dn, -1, -1):
-        c = num[k + dn]
+    quot = [0] * max(len(num) - dn, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = num[k + dn]
         if c:
-            # den is monic
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    return num[:dn]
+    return quot, num[:dn]
 
 
 def molien_table(v: Rep, w: Rep, m_max: int):
@@ -172,10 +155,10 @@ def molien_table(v: Rep, w: Rep, m_max: int):
             for m, hm in enumerate(h):
                 totals[m] = [a + b for a, b in
                              zip(totals[m], hm[-t:] + hm[:-t])]
-    phi = list(_cyclotomic(L))
+    phi = _cyclotomic(L)
     out = []
     for total in totals:
-        rem = _poly_mod(total, phi)
+        _, rem = _poly_divmod(total, phi)
         if any(rem[1:]):
             raise TheoremViolation("character pairing is not rational")
         c = rem[0] if rem else 0
@@ -191,8 +174,7 @@ def molien_table(v: Rep, w: Rep, m_max: int):
 # ---------------------------------------------------------------------------
 # Full verification pipeline
 
-@dataclass(frozen=True)
-class VerifyOptions:
+class VerifyOptions(NamedTuple):
     k_max: int = 1
     seed: int = 0
     m_max: int | None = None   # None scans to |G|
@@ -220,11 +202,10 @@ def scan_module(v: Rep, w: Rep, opts: VerifyOptions,
         raise ParseError("character oracle requested but the characteristic "
                          "divides the group order")
     m_max = opts.depth(group)
-    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim,
-                            label=label)
+    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim)
     if opts.molien == "on" or (opts.molien == "auto" and coprime):
         mt = molien_table(v, w, m_max)
-        table.molien_multiplicities = mt[1:]
+        table = table._replace(molien_multiplicities=mt[1:])
         if any(s != mt[m] or qd != mt[m] for m, s, qd in table.rows):
             raise TheoremViolation(
                 f"module {label}: scan and character oracle disagree")
@@ -236,10 +217,7 @@ def scan_module(v: Rep, w: Rep, opts: VerifyOptions,
     return table
 
 
-@dataclass
-class TheoremReport:
-    label: str
-    dim: int
+class TheoremReport(NamedTuple):
     irreducible_draws: int
     splitting_degree: int
     sub_claim: Certificate
@@ -299,8 +277,6 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
                 f"degree {row[0]}")
 
     return TheoremReport(
-        label=label,
-        dim=w.dim,
         irreducible_draws=res.draws,
         splitting_degree=e,
         sub_claim=cert_sub,

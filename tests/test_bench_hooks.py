@@ -1,16 +1,21 @@
 """The benchmark's trace hooks still find the functions they wrap.
 
 bench/tracing.py wraps each ENTRY_POINTS name in the symmpow module that
-defines it, and its counters read positional arguments of some of them.
-A rename or a reordered signature would silently drop a layer from the
-per-layer breakdown, so both are pinned here.
+defines it, and its counters read positional arguments of some of them
+and attributes of their results.  A rename or a reordered signature would
+silently drop a layer from the per-layer breakdown, and a missing result
+attribute would crash the traced run, so all three are pinned here.
 """
 
+import collections
 import importlib
 import importlib.util
 import inspect
 import pathlib
 import sys
+
+import symmpow as sp
+from symmpow.groups import enumerate_group
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,3 +51,23 @@ def test_trace_entry_points_resolve(monkeypatch):
         fn = getattr(importlib.import_module(f"symmpow.{modname}"), fname)
         got = list(inspect.signature(fn).parameters)[:len(params)]
         assert got == params, f"{modname}.{fname}"
+
+
+def test_trace_counters_read_real_results(monkeypatch, s3):
+    tracing = _load_tracing(monkeypatch)
+    group, v, mods = s3
+    w = mods["sign"]
+    calls = (
+        ("scan.occurrence_scan", sp.occurrence_scan, (v, w, 2),
+         "scan.degrees", 2),
+        ("meataxe.irreducible", sp.is_irreducible, (mods["standard"],),
+         "meataxe.draws", 1),
+        ("construct.assemble", sp.assemble, (w,),
+         "construct.extension_degree", 2),
+        ("groups.enumerate", enumerate_group, (group.generators,),
+         "groups.elements", 6),
+    )
+    for span, fn, args, key, value in calls:
+        counters = collections.Counter()
+        tracing.COUNTERS[span](counters, args, fn(*args))
+        assert counters[key] == value, span

@@ -375,6 +375,25 @@ def test_console_entry_point_runs():
     assert proc.stdout.rstrip().endswith("ok")
 
 
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is its own process and pays for each module the
+    # import drags in; dataclasses alone brings inspect, ast and dis
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=_src_env(), check=True)
+        return set(proc.stdout.split())
+
+    extra = loaded("import symmpow.cli") - loaded("pass")
+    assert "symmpow.cli" in extra
+    assert not extra & {"dataclasses", "inspect"}
+
+
 # GF(2^31 - 1) is the largest prime field under the 2^31 guard: C2 = <-1>
 # with its sign module, and the order-6 reflection group with its
 # one-dimensional modules, which needs a generic vector
@@ -396,8 +415,7 @@ def _limit_address_space():
 
 def test_largest_prime_field_runs_in_bounded_memory(tmp_path):
     # small problems: no step may cost time or memory of order q
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     for i, doc in enumerate(BIG_FIELD_DOCS):
         path = write_doc(tmp_path, doc, f"big{i}.json")
         for argv in (["check"], ["scan", "--molien", "on"], ["construct"]):

@@ -21,7 +21,7 @@ S3_TABLES = {
 def test_scan_tables_for_s3(s3):
     _, v, mods = s3
     for label, expected in S3_TABLES.items():
-        table = sp.occurrence_scan(v, mods[label], label=label)
+        table = sp.occurrence_scan(v, mods[label])
         assert table.rows == expected, label
         assert table.bound == 6
     assert sp.occurrence_scan(v, mods["trivial"]).minimal_sub_m == 2

@@ -11,9 +11,8 @@ def test_collect_minima_writes_its_csv(tmp_path, capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "collect_minima", ROOT / "scripts" / "collect_minima.py")
     mod = importlib.util.module_from_spec(spec)
-    # the script puts src/ on sys.path; its dataclasses need their module
+    # the script puts src/ on sys.path
     monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setitem(sys.modules, "collect_minima", mod)
     spec.loader.exec_module(mod)
     out = tmp_path / "minima.csv"
     assert mod.main(["--cyclic", "7:3", "--sl2", "2,3", "--m-max", "4",
