@@ -21,9 +21,11 @@ t-th power of the distinguished scalar character:
   with the inclusion of the span into the full symmetric power yields
   explicit embedding and quotient witnesses.
 
-Every one of those assertions is verified exactly; any failure raises
-TheoremViolation, since each is a proved identity and a failure can only
-mean an implementation bug or a violated precondition.
+Every one of those assertions is verified exactly, each degree on one
+span matrix S (row c the c-th span polynomial): rank S = N, and the rows
+of S Sym(g)^T give each generator's coset permutation.  Any failure
+raises TheoremViolation, since each is a proved identity and a failure
+can only mean an implementation bug or a violated precondition.
 
 Central groups (G = Z) run the same steps with one coset: any nonzero v
 works (no generic vector is needed), F_c = 1, the span is the single
@@ -63,18 +65,16 @@ def is_generic_vector(images, v) -> bool:
     return all(_ratio(m.field, mat_vec(m, v), v) is None for m in images)
 
 
-def find_generic_vector(group: GroupData, v_rep: Rep):
+def find_generic_vector(group: GroupData):
     """First vector (coordinate-lex sweep) whose line no non-central
     element fixes, extending scalars until one exists.
 
-    Returns (v, field) and caches it on the group.  Termination: once q^e
-    exceeds |G| the union of the eigenspaces cannot cover the whole space.
+    Returns (v, field).  Termination: once q^e exceeds |G| the union of
+    the eigenspaces cannot cover the whole space.
     """
     if group.center_order == group.order:
         raise ValueError("group acts by scalars; every vector is fixed")
-    if group.generic is not None:
-        return group.generic
-    n = group.dim
+    n, v_rep = group.dim, defining_rep(group)
     z_set = set(group.z_indices)
     noncentral = [i for i in range(group.order) if i not in z_set]
     for e in range(1, _MAX_EXTENSION_SWEEP + 1):
@@ -92,17 +92,16 @@ def find_generic_vector(group: GroupData, v_rep: Rep):
                 v = [0] * lead + [1] + [k // q ** (width - 1 - i) % q
                                         for i in range(width)]
                 if is_generic_vector(images, v):
-                    group.generic = (tuple(v), ext)
-                    return group.generic
+                    return tuple(v), ext
     raise AssertionError("no generic vector within the extension sweep")
 
 
-def build_coset_products(v, group: GroupData, v_rep: Rep):
+def build_coset_products(v, v_rep: Rep):
     """Per coset c, the product F_c over all other cosets c' of the linear
     form of (transversal representative of c') applied to v, and the
     product B of all N forms.  F_c is the product of the forms before c
     times that of the forms after c: O(N) products for all N."""
-    field = v_rep.field
+    group, field = v_rep.group, v_rep.field
     lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v)))
              for h in group.transversal]
     prefix = [poly_one(field, v_rep.dim)]
@@ -163,11 +162,8 @@ def _align_to_common_field(group: GroupData, w: Rep, v, v_field: FieldSpec):
     target = lcm(w.field.f, v_field.f)
     w_ext = extend_scalars(w, target // w.field.f)
     v_rep = extend_scalars(defining_rep(group), target // group.field.f)
-    if v_field.f == target:
-        v_t = tuple(v)
-    else:
-        _, table = extend_field(v_field, target // v_field.f)
-        v_t = tuple(table[x] for x in v)
+    _, table = extend_field(v_field, target // v_field.f)
+    v_t = tuple(table[x] for x in v)
     if w_ext.field != v_rep.field:
         raise ValueError("module field is not a standard extension tower; "
                          "extend via extend_scalars from the group field")
@@ -176,34 +172,34 @@ def _align_to_common_field(group: GroupData, w: Rep, v, v_field: FieldSpec):
 
 def _span_action(flags: dict, v_rep: Rep, span_polys, degree: int,
                  expected=None):
-    """Check the span's degree and dimension; return Sym^degree of v_rep
-    and the generator images on the span, read off the coset permutation
-    (they must equal expected when it is given).  Generators suffice: a
-    span they stabilize is stable, and a map intertwining them is a
-    homomorphism."""
+    """Check the span's degree and dimension; return Sym^degree of v_rep,
+    the span matrix S and the generator images on the span, read off the
+    coset permutation in the rows of S Sym(g)^T (they must equal expected
+    when it is given).  Generators suffice: a span they stabilize is
+    stable, and a map intertwining them is a homomorphism."""
     group, field = v_rep.group, v_rep.field
     n = len(span_polys)
     _require(flags, "span_degree",
              all(p.basis.m == degree for p in span_polys))
-    _require(flags, "span_dimension", check_independence(span_polys))
+    span = Mat._new(field, [p.coeffs for p in span_polys])
+    _require(flags, "span_dimension", rank(span) == n)
     sym_rep = sym_power(v_rep, degree)
     gens = []
     for g, sym_g in zip(group.generator_indices, sym_rep.gens):
+        moved = mat_mul(span, transpose(sym_g)).rows
         rows = [[0] * n for _ in range(n)]
         for c in range(n):
-            y = mat_vec(sym_g, span_polys[c].coeffs)
             c2 = group.coset_of[group.prod(g, group.transversal[c])]
-            rows[c2][c] = _ratio(field, y, span_polys[c2].coeffs)
+            rows[c2][c] = _ratio(field, moved[c], span.rows[c2])
             _require(flags, "coset_permutation", rows[c2][c])
         gens.append(Mat._new(field, rows))
     _require(flags, "coset_permutation", expected is None or gens == expected)
-    return sym_rep, gens
+    return sym_rep, span, gens
 
 
-def _witnesses(flags: dict, sym_rep: Rep, w_ext: Rep, span_polys, hs_in):
+def _witnesses(flags: dict, sym_rep: Rep, w_ext: Rep, span: Mat, hs_in):
     """Embedding of w through the span and quotient of sym_rep onto w."""
-    embedding = mat_mul(transpose(Mat._new(
-        sym_rep.field, [p.coeffs for p in span_polys])), hs_in[0])
+    embedding = mat_mul(transpose(span), hs_in[0])
     _require(flags, "embedding_witness", rank(embedding) == w_ext.dim
              and _intertwines(sym_rep.gens, w_ext.gens, embedding))
     hs_quot = hom_space(sym_rep, w_ext)
@@ -239,12 +235,11 @@ def assemble(w: Rep, k_max: int = 0,
     check_sym_dim(group.dim, m + k_max * order, cap_dim)
 
     v, v_field = (((0,) * (group.dim - 1) + (1,), group.field) if central
-                  else find_generic_vector(group, defining_rep(group)))
+                  else find_generic_vector(group))
     w_ext, v_rep, v_t = _align_to_common_field(group, w, v, v_field)
     field, flags = v_rep.field, {}
 
-    coset_products, transversal_product = build_coset_products(v_t, group,
-                                                               v_rep)
+    coset_products, transversal_product = build_coset_products(v_t, v_rep)
     powers = [poly_pow(f_c, j) for f_c in coset_products]
     _require(flags, "coset_powers_independent", check_independence(powers))
     orbit_product = reduce(poly_mul, (
@@ -256,7 +251,7 @@ def assemble(w: Rep, k_max: int = 0,
     span_polys = powers if tail is None else [poly_mul(p, tail)
                                               for p in powers]
 
-    sym_rep, span_gens = _span_action(flags, v_rep, span_polys, m)
+    sym_rep, span, span_gens = _span_action(flags, v_rep, span_polys, m)
     span_rep = Rep(group, span_gens)
     n_span = len(span_polys)
     span_images = span_rep.images
@@ -274,7 +269,7 @@ def assemble(w: Rep, k_max: int = 0,
     hs_in = hom_space(w_ext, span_rep)
     _require(flags, "module_occurs_in_span",
              bool(hs_in and hom_space(span_rep, w_ext)))
-    embedding, quotient = _witnesses(flags, sym_rep, w_ext, span_polys, hs_in)
+    embedding, quotient = _witnesses(flags, sym_rep, w_ext, span, hs_in)
 
     # C is G-invariant, so the span times C^k is permuted exactly as the
     # span is; that checked, the center character, the induced
@@ -282,9 +277,9 @@ def assemble(w: Rep, k_max: int = 0,
     shifted = span_polys
     for k in range(1, k_max + 1):
         shifted = [poly_mul(p, orbit_product) for p in shifted]
-        sym_k, _ = _span_action(flags, v_rep, shifted, m + k * order,
-                                span_gens)
-        _witnesses(flags, sym_k, w_ext, shifted, hs_in)
+        sym_k, span_k, _ = _span_action(flags, v_rep, shifted,
+                                        m + k * order, span_gens)
+        _witnesses(flags, sym_k, w_ext, span_k, hs_in)
 
     return Certificate(
         field=field,

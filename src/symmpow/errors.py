@@ -20,7 +20,7 @@ class ParseError(SymmpowError):
 
 
 class CapExceeded(SymmpowError):
-    """Group enumeration or symmetric-power dimension passed its ceiling."""
+    """A group, a symmetric power or a field extension passed its ceiling."""
 
     exit_code = 3
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import CapExceeded
+
 # Largest q served by the exp/log/Zech tables; larger extensions, up to the
 # 2^31 guard, take the decode path.
 _EXP_LOG_LIMIT = 1 << 16
@@ -402,6 +404,12 @@ class FieldSpec:
         return f"GF({self.p}^{self.f})"
 
 
+def _guard_order(p: int, f: int, error):
+    # f > 31 exceeds the guard for every p, without forming a huge power
+    if f > 31 or p ** f > _ORDER_LIMIT:
+        raise error(f"field order {p}^{f} exceeds the 2^31 guard")
+
+
 def make_field(p: int, f: int = 1, modulus=None) -> FieldSpec:
     """Construct GF(p^f).
 
@@ -414,10 +422,8 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldSpec:
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(f, int) or isinstance(f, bool) or f < 1:
         raise ValueError(f"f must be a positive integer, got {f}")
-    # the guard comes before the trial division it bounds; f > 31 exceeds
-    # it for every p, without forming a huge power
-    if f > 31 or p ** f > _ORDER_LIMIT:
-        raise ValueError(f"field order {p}^{f} exceeds the 2^31 guard")
+    # the guard comes before the trial division it bounds
+    _guard_order(p, f, ValueError)
     if _prime_factors(p) != [p]:
         raise ValueError(f"p must be prime, got {p}")
     if modulus is not None:
@@ -499,9 +505,11 @@ def extend_field(field: FieldSpec, e: int):
 
     Returns (ext, table) where table[a] is the image in ext of the base
     element coded a; see :func:`field_embedding`.  e = 1 returns the field
-    itself with the identity table.
+    itself with the identity table; an order past the 2^31 guard raises
+    CapExceeded.
     """
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"extension degree must be a positive integer, got {e}")
+    _guard_order(field.p, field.f * e, CapExceeded)
     ext = field if e == 1 else make_field(field.p, field.f * e)
     return ext, field_embedding(field, ext)

@@ -27,15 +27,12 @@ class GroupData:
     takes z_indices, z_generator_index and lam from
     :func:`center_scalars` and transversal and coset_of from
     :func:`coset_transversal`.
-
-    Only generic starts empty (None): a cache that
-    :func:`symmpow.construct.find_generic_vector` fills.
     """
 
     __slots__ = ("field", "dim", "generators", "generator_indices",
                  "elements", "index", "edges", "inverse",
                  "z_indices", "z_generator_index", "lam",
-                 "transversal", "coset_of", "generic")
+                 "transversal", "coset_of")
 
     def __init__(self, generators, elements, index, edges, inverse):
         self.generators = generators
@@ -48,7 +45,6 @@ class GroupData:
         self.generator_indices = [index[g.key()] for g in generators]
         self.z_indices, self.z_generator_index, self.lam = center_scalars(self)
         self.transversal, self.coset_of = coset_transversal(self)
-        self.generic = None
 
     @property
     def order(self) -> int:

@@ -217,6 +217,24 @@ def test_cap_dim_bounds_the_degree_of_a_1_dim_v(capsys):
     assert "exceeds the cap 5000" in err and "Traceback" not in err
 
 
+def test_extension_past_the_field_guard_exits_3(tmp_path, capsys):
+    # GF(65537) is under the 2^31 guard, but the character oracle needs
+    # cube roots of unity, which first lie in GF(65537^2), past it
+    p = 65537
+    doc = {"schema": "symmpow-v1", "field": {"p": p, "f": 1},
+           "generators": [[[0, 1], [1, 0]], [[0, p - 1], [1, p - 1]]],
+           "modules": [{"label": "sign", "images": [[[p - 1]], [[1]]]}],
+           "options": {"m_max": 4}}
+    path = write_doc(tmp_path, doc)
+    for command in ("scan", "construct"):
+        assert run([command, "--input", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "65537^2 exceeds the 2^31 guard" in err
+        assert "internal error" not in err and "Traceback" not in err
+    assert run(["scan", "--input", path, "--molien", "off"]) == 0
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     assert run(["check", "--input", str(PROBLEMS / "c3_gf7.json"),
