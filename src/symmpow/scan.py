@@ -2,10 +2,14 @@
 
 occurrence_scan brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
 for m = 1..m_max from generator images of Sym^m V alone; each degree
-costs two spins of W, with dim Sym^m V unknowns per seed (see homs).  The
-scan takes its Sym^m V from sym_powers, each degree built from the one
-before; a single degree beyond the scan (verify_theorem's row at a
-certified degree) is built directly by sym_power.
+costs two spins of W, with dim Sym^m V unknowns per seed (see homs).  When
+the scalar generator z acts on V as mu (lam on the defining module), it
+acts on Sym^m V as mu^m, and a hom X from W has X W(z) = mu^m X (one to W,
+W(z) X = mu^m X): a degree whose mu^m is no eigenvalue of W(z) gets the
+row (m, 0, 0) with no solve.  The scan takes every Sym^m V, skipped or
+not, from sym_powers, each degree built from the one before; a single
+degree beyond the scan (verify_theorem's row at a certified degree) is
+built directly by sym_power.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -32,6 +36,7 @@ from typing import NamedTuple
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
 from .fields import _prime_factors
+from .groups import scalar_of
 from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
@@ -55,14 +60,26 @@ def _scan_one(sym: Rep, w: Rep, m: int):
 
 def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
                     cap_dim: int = DEFAULT_DIM_CAP) -> OccurrenceTable:
-    """Hom dimensions in both directions for every degree up to m_max."""
-    group = v.group
+    """Hom dimensions in both directions for every degree up to m_max.
+    A degree m whose mu^m (a function of m mod |Z|) is no eigenvalue of
+    W(z) gets zeros unsolved: X W(z) = mu^m X forces X = 0 for X from W."""
+    if v.group is not w.group:
+        raise ValueError("representations must share a group")
+    if v.field != w.field:
+        raise ValueError("representations must share a field")
+    group, field = v.group, w.field
     if m_max is None:
         m_max = group.order
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     check_sym_dim(v.dim, m_max, cap_dim)
-    rows = [_scan_one(sym, w, m)
+    z, n = group.z_generator_index, group.center_order
+    mu, wz = scalar_of(v.images[z]), w.images[z].rows
+    silent = [mu is not None and w.dim == rank(Mat._new(field, [
+        [field.sub(x, field.pow(mu, r)) if i == j else x
+         for j, x in enumerate(row)] for i, row in enumerate(wz)]))
+        for r in range(n)]
+    rows = [(m, 0, 0) if silent[m % n] else _scan_one(sym, w, m)
             for m, sym in enumerate(sym_powers(v, m_max), 1)]
     minimal_sub = next((m for m, s, _ in rows if s > 0), None)
     minimal_quot = next((m for m, _, qd in rows if qd > 0), None)

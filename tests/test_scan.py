@@ -1,11 +1,17 @@
 """Occurrence tables, the character-series oracle, and the full
 verification driver."""
 
+import json
+import pathlib
+
 import pytest
 
 import symmpow as sp
+from symmpow.cli import _build_group, parse_problem
 
 from oracles import hom_dim_by_enumeration
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 S3_TABLES = {
     # (m, submodule count, quotient count) for m = 1..6 over GF(7)
@@ -153,3 +159,82 @@ def test_molien_options_flow(s3):
                                sp.VerifyOptions(k_max=0, molien="on"))
     assert rep_on.molien_ok is True
     assert rep_on.table.molien_multiplicities == [0, 1, 1, 1, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the central-character filter: degrees whose power of z's scalar is no
+# eigenvalue of W(z) are answered (m, 0, 0) without a solve
+
+def _unfiltered_rows(v, w, m_max):
+    return [sp.scan._scan_one(sym, w, m)
+            for m, sym in enumerate(sp.sym_powers(v, m_max), 1)]
+
+
+def _solved_degrees(monkeypatch, v, w, m_max):
+    """The scan's rows, the degrees it solved and its hom_space calls."""
+    solved, calls = [], []
+    scan_one, hom_space = sp.scan._scan_one, sp.scan.hom_space
+
+    def counting_scan_one(sym, w, m):
+        solved.append(m)
+        return scan_one(sym, w, m)
+
+    def counting_hom_space(a, b):
+        calls.append(1)
+        return hom_space(a, b)
+
+    monkeypatch.setattr(sp.scan, "_scan_one", counting_scan_one)
+    monkeypatch.setattr(sp.scan, "hom_space", counting_hom_space)
+    rows = sp.occurrence_scan(v, w, m_max=m_max).rows
+    monkeypatch.undo()
+    return rows, solved, len(calls)
+
+
+def test_scan_validates_modules_before_skipping(fresh_case):
+    group, v, mods = fresh_case("c4_gf5")
+    trivial = mods["chi0"]
+    # z = 2 acts on Sym^m as 2^m, never 1 for m = 1..3: every degree silent
+    assert sp.occurrence_scan(v, trivial, m_max=3).rows == [
+        (1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    _, _, other_mods = fresh_case("c4_gf5")
+    with pytest.raises(ValueError, match="share a group"):
+        sp.occurrence_scan(v, other_mods["chi0"], m_max=3)
+    with pytest.raises(ValueError, match="share a field"):
+        sp.occurrence_scan(v, sp.extend_scalars(trivial, 2), m_max=3)
+
+
+def test_filter_skips_silent_residues_of_a_reducible_module(
+        monkeypatch, fresh_case):
+    group, v, _ = fresh_case("c4_gf5")
+    assert (group.lam, group.center_order) == (2, 4)
+    # W(z) = diag(1, 2) = diag(lam^0, lam^1) is not scalar
+    w = sp.paired_rep(group, [sp.Mat(group.field, [[1, 0], [0, 2]])])
+    rows, solved, calls = _solved_degrees(monkeypatch, v, w, 12)
+    assert solved == [m for m in range(1, 13) if m % 4 in (0, 1)]
+    assert calls == 2 * len(solved)
+    assert rows == _unfiltered_rows(v, w, 12)
+    assert [m for m, s, q in rows if s] == [1, 4, 5, 8, 9, 12]
+
+
+def test_filter_skips_even_degrees_on_q8(monkeypatch, q8):
+    group, v, mods = q8
+    # z = -1 acts on the defining module as -1 = lam and on Sym^m as (-1)^m
+    rows, solved, calls = _solved_degrees(monkeypatch, v, mods["defining"], 8)
+    assert solved == [1, 3, 5, 7]
+    assert calls == 8
+    assert rows == _unfiltered_rows(v, mods["defining"], 8)
+
+
+def test_filter_matches_unfiltered_scan_over_the_corpus():
+    for path in sorted(PROBLEMS.glob("*.json")):
+        doc = parse_problem(json.loads(path.read_text()))
+        group = _build_group(doc)
+        v = sp.defining_rep(group)
+        m_max = min(group.order, 16)
+        syms = list(sp.sym_powers(v, m_max))
+        for spec in doc.modules:
+            w = sp.paired_rep(group, spec.images)
+            expected = [sp.scan._scan_one(sym, w, m)
+                        for m, sym in enumerate(syms, 1)]
+            assert sp.occurrence_scan(v, w, m_max).rows == expected, (
+                path.stem, spec.label)
