@@ -12,12 +12,15 @@ in three O(q) tables over the least generator g of GF(q)*: exp, log, and
 the Zech logarithm Z with 1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).
 Larger fields decode both operands to coefficient vectors on every call.
 
-Two row kernels carry the row arithmetic of ``linalg``, ``homs`` and
-``reps``: ``row_sub(xs, f, ys)`` is the row xs - f*ys, and
+Two row kernels carry the row arithmetic that ``linalg`` does not pack
+(see its docstring): ``row_sub(xs, f, ys)`` is the row xs - f*ys, and
 ``row_comb(coeffs, rows, n)`` the length-n row sum(c*row) over the nonzero
 coefficients, each row given sparsely as (column, value) pairs.  Over a
 prime field they run on plain ints with one ``% p`` per entry; over an
-extension they call the element operations.
+extension they call the element operations.  ``row_sub`` serves the list
+rows of ``linalg``'s eliminations (extension fields, primes too large to
+pack, narrow matrices); ``row_comb`` serves ``linalg.mat_vec``,
+``reps``'s Sym^m generator images and products over extension fields.
 
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree f over Z_p, coefficients compared lowest degree first,

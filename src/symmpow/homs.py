@@ -18,15 +18,20 @@ which serialize basis elements, do not depend on the solver.
 
 from __future__ import annotations
 
-from .linalg import (Mat, identity, mat_inv, mat_mul, mat_vec, null_space,
-                     rref, transpose)
+from .linalg import (Mat, _eliminate, _row_ops, identity, mat_inv, mat_mul,
+                     mat_vec, rref, transpose)
 from .reps import Rep
 
 
 def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
     """Transposes of a basis of the nv x nu X with X a = b X for all
-    (a, transpose(b)) in pairs; T_i is kept as its k columns."""
+    (a, transpose(b)) in pairs.  T_i is kept as its k columns, rows of
+    linalg's row form: an image b T_j combines nv rows and reduce updates
+    it at most nu times, so its slots never need renormalizing."""
+    ops = _row_ops(field, nv + nu, nv)
+    pack, unpack, _, sub, scale, combs, _ = ops
     row_sub, mul = field.row_sub, field.mul
+    pairs = [(a, pack(bt.rows)) for a, bt in pairs]
     ech, ts = [], []  # spin vectors in semi-echelon form (pivot, row); T_i
     k = 0
 
@@ -35,41 +40,47 @@ def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
             f = w[p]
             if f:
                 w = row_sub(w, f, row)
-                cols = [row_sub(c, f, q) for c, q in zip(cols, t)]
+                cols = [sub(c, f, q, 0) for c, q in zip(cols, t)]
         return w, cols
 
     def adjoin(w, cols):
         p = next(i for i, x in enumerate(w) if x)
         f = field.inv(w[p])
         ech.append((p, [mul(f, x) for x in w]))
-        ts.append([[mul(f, x) for x in c] for c in cols])
+        ts.append(scale(cols, f, nv))
 
     j = 0
     for s in range(nu):
         seed, _ = reduce([int(i == s) for i in range(nu)], [])
         if not any(seed):
             continue
-        ts = [t + [[0] * nv for _ in range(nv)] for t in ts]
-        adjoin(seed, [[0] * nv for _ in range(k)] + identity(field, nv).rows)
+        zeros = pack([[0] * nv] * nv)
+        ts = [t + zeros for t in ts]
+        adjoin(seed, pack([[0] * nv] * k + identity(field, nv).rows))
         k += nv
         while j < len(ech):
             for a, bt in pairs:
-                image = mat_mul(Mat._new(field, ts[j]), bt).rows if k else []
+                # the image b T_j, as k columns of nv terms each
+                image = combs(unpack(ts[j], nv), bt) if k else []
                 w, cols = reduce(mat_vec(a, ech[j][1]), image)
                 if any(w):
                     adjoin(w, cols)
-                elif k:
-                    kernel = null_space(transpose(Mat._new(field, cols)))
-                    if len(kernel) < k:
-                        k = len(kernel)
-                        ts = [mat_mul(Mat._new(field, kernel),
-                                      Mat._new(field, t)).rows if k else []
-                              for t in ts]
+                elif k and any(map(any, cols := unpack(cols, nv))):
+                    # a nonzero relation cuts K to the left kernel of cols:
+                    # the I_k part of the rows of [cols | I_k] that
+                    # eliminate to 0 in cols
+                    aug = pack([c + e for c, e in zip(
+                        cols, identity(field, k).rows)])
+                    rk, _ = _eliminate(field, ops, aug, nv, nv + k)
+                    kernel = [y[nv:] for y in unpack(aug[rk:], nv + k)]
+                    k -= rk
+                    ts = [scale(combs(kernel, t), 1, nv) if k else []
+                          for t in ts]
             j += 1
     if not k:
         return []
     binv = mat_inv(Mat._new(field, [row for _, row in ech]))
-    return [mat_mul(binv, Mat._new(field, [t[y] for t in ts]))
+    return [mat_mul(binv, Mat._new(field, unpack([t[y] for t in ts], nv)))
             for y in range(k)]
 
 

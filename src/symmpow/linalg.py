@@ -4,11 +4,151 @@ Matrices are row-major lists of lists of element codes.  Pivoting is
 first-nonzero, free columns are processed in ascending order, so reduced
 forms and null-space bases are deterministic and reproducible byte for
 byte.
+
+``rref``, ``mat_mul`` and the hom solver run on the row operations that
+``_row_ops`` picks.  Over GF(p) a row x_0..x_{n-1} packs into the int
+sum x_j 2^(32 j) (Kronecker substitution), so x - f*y is x + (p - f)*y, one
+big-int multiply-add in C.  Slots stay unreduced until a pivot search reads
+one mod p or a row is unpacked.  An update by a reduced row adds at most
+(p - 1)^2 to a slot, so an elimination renormalizes (reduces and repacks)
+its rows every (2^32 - p) // (p - 1)^2 pivot steps (64 at p = 8191), before
+a slot could carry into the next: simultaneous modular reduction (Dumas,
+Fousse and Salvy, J. Symbolic Comput. 46, 2011), packed as the C MeatAxe
+packs rows.  Extension fields, p with no room for (p - 1)^2 in a slot and
+matrices under _PACK_MIN_WIDTH wide keep lists of codes.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import namedtuple
+from operator import mul
+
 from .fields import FieldSpec
+
+_SLOT_MAX = (1 << 32) - 1
+_SLOT_CODE = next(t for t in "IL" if array(t).itemsize == 4)  # 4-byte slots
+_BIG_ENDIAN = sys.byteorder == "big"
+_PACK_MIN_WIDTH = 6  # narrower rows are faster as lists (CHANGES.md)
+
+
+def _little(a: array) -> array:  # a with little-endian slots
+    if _BIG_ENDIAN:
+        a.byteswap()
+    return a
+
+
+def _pack(rows) -> list:
+    """Rows of codes, each < 2^32, as ints with entry j in slot j."""
+    return [int.from_bytes(_little(array(_SLOT_CODE, row)), "little")
+            for row in rows]
+
+
+def _slots(xs, n: int) -> list:
+    """The n slots, unreduced, of each packed row in xs."""
+    return [_little(array(_SLOT_CODE, x.to_bytes(4 * n, "little")))
+            for x in xs]
+
+
+# Row operations of one row form, on lists of rows except sub: pack and
+# unpack(xs, n) convert n-wide code lists and rows; column(xs, j) is entry j
+# of each, reduced; sub(x, f, y, start) is x - f*y for y zero left of start;
+# scale(xs, s, n) is each s*x, reduced; combs(coeff_rows, ys) is sum(c*y)
+# over ys for each coefficient row.  A reduced row takes room updates by
+# reduced rows, a combination of t rows counting as t, before scale by 1.
+_Ops = namedtuple("_Ops", "pack unpack column sub scale combs room")
+
+
+def _packed_ops(p: int) -> _Ops:
+    def unpack(xs, n):
+        return [[v % p for v in a] for a in _slots(xs, n)]
+
+    def column(xs, j):
+        return [(x >> 32 * j & _SLOT_MAX) % p for x in xs]
+
+    def sub(x, f, y, start):
+        return x + (p - f) * y
+
+    def scale(xs, s, n):
+        return _pack([[v * s % p for v in a] for a in _slots(xs, n)])
+
+    def combs(coeff_rows, ys):
+        return [sum(map(mul, cs, ys)) for cs in coeff_rows]
+
+    return _Ops(_pack, unpack, column, sub, scale, combs,
+                (_SLOT_MAX - (p - 1)) // (p - 1) ** 2)
+
+
+def _list_ops(field: FieldSpec) -> _Ops:
+    row_sub, row_comb, fmul, p = (field.row_sub, field.row_comb, field.mul,
+                                  field.p)
+
+    def sub(x, f, y, start):
+        if start:
+            return x[:start] + row_sub(x[start:], f, y[start:])
+        return row_sub(x, f, y)
+
+    def scale(xs, s, n):
+        return xs if s == 1 else [[fmul(s, v) for v in x] for x in xs]
+
+    def combs(coeff_rows, ys):
+        if field.f == 1:  # one dot product per entry
+            cols = list(zip(*ys))
+            return [[sum(map(mul, cs, col)) % p for col in cols]
+                    for cs in coeff_rows]
+        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in ys]
+        return [row_comb(cs, nonzero, len(ys[0])) for cs in coeff_rows]
+
+    return _Ops(list, lambda xs, n: xs, lambda xs, j: [x[j] for x in xs],
+                sub, scale, combs, sys.maxsize)
+
+
+_OPS: dict = {}  # (packed or None, list) ops, by p for GF(p), else by field
+
+
+def _row_ops(field: FieldSpec, terms: int, width: int) -> _Ops:
+    """Packed rows for width-wide rows over a prime field, when a
+    combination of terms reduced rows fits a slot; list rows otherwise."""
+    key = field.p if field.f == 1 else field
+    if key not in _OPS:
+        _OPS[key] = (_packed_ops(field.p) if field.f == 1 else None,
+                     _list_ops(field))
+    packed, listed = _OPS[key]
+    if packed and width >= _PACK_MIN_WIDTH and terms <= packed.room:
+        return packed
+    return listed
+
+
+def _eliminate(field: FieldSpec, ops: _Ops, rows: list, ncols: int,
+               width: int):
+    """Gauss-Jordan, in place, on width-wide rows of ops's form, pivoting
+    in columns < ncols only.  Returns (rank, pivot columns)."""
+    column, sub, scale, inv = ops.column, ops.sub, ops.scale, field.inv
+    nrows = len(rows)
+    pivots = []
+    r = steps = 0  # a row takes at most one update per pivot step
+    for c in range(ncols):
+        col = column(rows, c)
+        for i in range(r, nrows):
+            if col[i]:
+                break
+        else:
+            continue
+        if steps == ops.room:
+            rows[:], steps = scale(rows, 1, width), 0
+        pr, = scale([rows[i]], inv(col[i]), width)
+        rows[i], col[i] = rows[r], col[r]
+        rows[r], col[r] = pr, 0
+        for i, f in enumerate(col):
+            if f:
+                rows[i] = sub(rows[i], f, pr, c)
+        steps += 1
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
 
 
 class Mat:
@@ -66,14 +206,14 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("field mismatch")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    # row i combines b's rows, listed by their nonzeros, by row i of a
-    comb, n = a.field.row_comb, b.ncols
-    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
-    return Mat._new(a.field, [comb(arow, nonzero, n) for arow in a.rows])
+    # row i combines b's rows by row i of a
+    ops = _row_ops(a.field, b.nrows, b.ncols)
+    return Mat._new(a.field, ops.unpack(ops.combs(a.rows, ops.pack(b.rows)),
+                                        b.ncols))
 
 
 def mat_vec(a: Mat, v) -> list:
@@ -90,36 +230,11 @@ def rref(a: Mat):
     Returns (R, rank, pivot_columns).  The pivot in each column is the first
     nonzero entry scanning rows top down, which fixes the output uniquely.
     """
-    field = a.field
-    row_sub, mul, inv = field.row_sub, field.mul, field.inv
-    rows = [list(r) for r in a.rows]
-    nrows, ncols = a.nrows, a.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        piv_inv = inv(pr[c])
-        if piv_inv != 1:
-            rows[r] = pr = [mul(piv_inv, x) for x in pr]
-        tail = pr[c:]  # pr is zero left of c
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = ri[:c] + row_sub(ri[c:], f, tail)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Mat._new(field, rows), r, tuple(pivots)
+    field, n = a.field, a.ncols
+    ops = _row_ops(field, 1, min(a.nrows, n))  # short rows gain nothing
+    rows = ops.pack(a.rows)
+    r, pivots = _eliminate(field, ops, rows, n, n)
+    return Mat._new(field, ops.unpack(rows, n)), r, tuple(pivots)
 
 
 def rank(a: Mat) -> int:

@@ -105,9 +105,11 @@ def test_field_axioms(data, fi):
     assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
 
 
+# Widths up to 24 reach both row forms of linalg: rows of 6 entries or
+# more over GF(p) are packed, narrower ones stay lists.
 @COMMON
 @given(data=st.data(),
-       nrows=st.integers(1, 5), ncols=st.integers(1, 5))
+       nrows=st.integers(1, 24), ncols=st.integers(1, 24))
 def test_rank_nullity_and_rref_shape(data, nrows, ncols):
     F = sp.make_field(5)
     rows = [[data.draw(st.integers(0, 4)) for _ in range(ncols)]
@@ -126,15 +128,16 @@ def test_rank_nullity_and_rref_shape(data, nrows, ncols):
         assert col[j] == 1 and all(x == 0 for i, x in enumerate(col) if i != j)
 
 
-# GF(2^31 - 1) makes the prime kernels' unreduced sums large ints
+# GF(2^31 - 1) makes the prime kernels' unreduced sums large ints; it
+# and GF(25) keep list rows at every width
 KERNEL_FIELDS = (sp.make_field(2), sp.make_field(5),
                  sp.make_field(2 ** 31 - 1), sp.make_field(5, 2))
 
 
 @COMMON
 @given(data=st.data(), fi=st.integers(0, len(KERNEL_FIELDS) - 1),
-       nrows=st.integers(1, 6), inner=st.integers(1, 6),
-       ncols=st.integers(1, 6))
+       nrows=st.integers(1, 24), inner=st.integers(1, 24),
+       ncols=st.integers(1, 24))
 def test_row_kernels_match_per_element_reference(data, fi, nrows, inner,
                                                  ncols):
     F = KERNEL_FIELDS[fi]
@@ -143,8 +146,8 @@ def test_row_kernels_match_per_element_reference(data, fi, nrows, inner,
     entry = st.one_of(st.just(0), st.just(F.q - 1), st.integers(0, F.q - 1))
 
     def matrix(r, c):
-        return Mat(F, [[data.draw(entry) for _ in range(c)]
-                       for _ in range(r)])
+        row = st.lists(entry, min_size=c, max_size=c)
+        return Mat(F, data.draw(st.lists(row, min_size=r, max_size=r)))
 
     x, y, b = matrix(nrows, inner), matrix(inner, ncols), matrix(ncols, inner)
     a = Mat(F, mat_mul_by_entries(x, y))
@@ -240,4 +243,58 @@ def test_hom_space_is_the_kronecker_basis(shape, data, family, seed):
         u, w = _in_random_basis(u, rng), _in_random_basis(w, rng)
     expected = hom_basis_by_kronecker(u.field, list(zip(u.gens, w.gens)),
                                       u.dim, w.dim)
+    assert sp.hom_space(u, w) == expected
+
+
+def _direct_sum(reps):
+    """The block-diagonal sum of reps of one group."""
+    n = sum(r.dim for r in reps)
+    gens = []
+    for images in zip(*(r.gens for r in reps)):
+        rows, off = [], 0
+        for g in images:
+            rows += [[0] * off + row + [0] * (n - off - g.nrows)
+                     for row in g.rows]
+            off += g.nrows
+        gens.append(Mat(reps[0].field, rows))
+    return sp.Rep(reps[0].group, gens)
+
+
+# Pairs whose larger side has dimension >= 9, so that the spin solver packs
+# its rows: Sym^m of SL(2, 3) over GF(3) at m = 8..10 and of the signed
+# permutation group B3 over GF(7) at m = 3, 4.  Sym^2 + k + k is not
+# cyclic (k + k is not), so its spin needs more than one seed.
+F3 = sp.make_field(3)
+SL23 = sp.build_group([Mat(F3, [[1, 1], [0, 1]]), Mat(F3, [[1, 0], [1, 1]])])
+SL23_SYM = {m: sp.sym_power(sp.defining_rep(SL23), m)
+            for m in (0, 1, 2, 4, 8, 9, 10)}
+SL23_SEEDS = _direct_sum([SL23_SYM[2], SL23_SYM[0], SL23_SYM[0]])
+B3_F = sp.make_field(7)
+B3 = sp.build_group([Mat(B3_F, g) for g in (
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+    [[6, 0, 0], [0, 1, 0], [0, 0, 1]])])
+B3_SYM = {m: sp.sym_power(sp.defining_rep(B3), m) for m in range(5)}
+PACKED_HOM_PAIRS = {
+    "several seeds": [(SL23_SEEDS, SL23_SYM[8]), (SL23_SEEDS, SL23_SYM[10])],
+    "source larger": [(SL23_SYM[10], SL23_SEEDS), (SL23_SYM[9], SL23_SYM[1]),
+                      (B3_SYM[4], B3_SYM[2]), (B3_SYM[3], B3_SYM[1])],
+    "source smaller": [(SL23_SYM[4], SL23_SYM[8]), (B3_SYM[1], B3_SYM[3]),
+                       (B3_SYM[2], B3_SYM[4])],
+    "K cut to 0": [(SL23_SYM[1], SL23_SYM[8]), (SL23_SEEDS, SL23_SYM[9]),
+                   (B3_SYM[0], B3_SYM[3]), (SL23_SYM[9], SL23_SEEDS)],
+}
+
+
+@settings(deadline=None, max_examples=8,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 10_000))
+@pytest.mark.parametrize("case", sorted(PACKED_HOM_PAIRS))
+def test_packed_spin_is_the_kronecker_basis(case, data, seed):
+    u, w = data.draw(st.sampled_from(PACKED_HOM_PAIRS[case]))
+    assert max(u.dim, w.dim) >= 9
+    rng = random.Random(seed)
+    u, w = _in_random_basis(u, rng), _in_random_basis(w, rng)
+    expected = hom_basis_by_kronecker(u.field, list(zip(u.gens, w.gens)),
+                                      u.dim, w.dim)
+    assert bool(expected) == (case != "K cut to 0")
     assert sp.hom_space(u, w) == expected
