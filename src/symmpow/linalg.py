@@ -14,8 +14,9 @@ one mod p or a row is unpacked.  An update by a reduced row adds at most
 its rows every (2^32 - p) // (p - 1)^2 pivot steps (64 at p = 8191), before
 a slot could carry into the next: simultaneous modular reduction (Dumas,
 Fousse and Salvy, J. Symbolic Comput. 46, 2011), packed as the C MeatAxe
-packs rows.  Extension fields, p with no room for (p - 1)^2 in a slot and
-matrices under _PACK_MIN_WIDTH wide keep lists of codes.
+packs rows.  Extension fields, p with no room for (p - 1)^2 in a slot,
+rows under _PACK_MIN_WIDTH entries and eliminations of fewer rows keep
+lists of codes.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def rref(a: Mat):
     nonzero entry scanning rows top down, which fixes the output uniquely.
     """
     field, n = a.field, a.ncols
-    ops = _row_ops(field, 1, min(a.nrows, n))  # short rows gain nothing
+    ops = _row_ops(field, 1, min(a.nrows, n))  # few rows gain nothing
     rows = ops.pack(a.rows)
     r, pivots = _eliminate(field, ops, rows, n, n)
     return Mat._new(field, ops.unpack(rows, n)), r, tuple(pivots)
