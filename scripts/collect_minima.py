@@ -19,7 +19,7 @@ from typing import NamedTuple
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from symmpow import (Mat, build_group, defining_rep, make_field, mult_order,
-                     occurrence_scan, paired_rep, sym_power)
+                     occurrence_tables, paired_rep, sym_power)
 
 
 class ScanRow(NamedTuple):
@@ -44,38 +44,35 @@ def _element_of_order(field, k: int) -> int:
 
 
 def cyclic_rows(p: int, k: int, m_max: int) -> list[ScanRow]:
-    """C_k acting on a line over GF(p), all k characters."""
+    """C_k acting on a line over GF(p), all k characters, scanned in one
+    degree loop."""
     field = make_field(p)
     g = _element_of_order(field, k)
     group = build_group([Mat(field, [[g]])])
     v = defining_rep(group)
     cap = min(m_max, group.order)
-    rows = []
-    for t in range(k):
-        w = paired_rep(group, [Mat(field, [[pow(g, t, field.q)]])])
-        table = occurrence_scan(v, w, m_max=cap)
-        rows.append(ScanRow("cyclic", p, 1, group.order, group.center_order,
-                            f"chi{t}", 1, table.minimal_sub_m,
-                            table.minimal_quot_m, table.bound, cap))
-    return rows
+    ws = [paired_rep(group, [Mat(field, [[pow(g, t, field.q)]])])
+          for t in range(k)]
+    return [ScanRow("cyclic", p, 1, group.order, group.center_order,
+                    f"chi{t}", 1, table.minimal_sub_m, table.minimal_quot_m,
+                    table.bound, cap)
+            for t, table in enumerate(occurrence_tables(v, ws, m_max=cap))]
 
 
 def sl2_rows(p: int, m_max: int) -> list[ScanRow]:
-    """SL2(p) on its defining plane, modules the small symmetric powers."""
+    """SL2(p) on its defining plane, modules the small symmetric powers,
+    scanned in one degree loop."""
     field = make_field(p)
     gens = [Mat(field, [[1, 1], [0, 1]]), Mat(field, [[1, 0], [1, 1]])]
     group = build_group(gens)
     v = defining_rep(group)
     cap = min(m_max, group.order)
-    rows = []
-    for j in range(p):
-        w = sym_power(v, j)
-        label = f"sym{j}"
-        table = occurrence_scan(v, w, m_max=cap)
-        rows.append(ScanRow("sl2", p, 1, group.order, group.center_order,
-                            label, w.dim, table.minimal_sub_m,
-                            table.minimal_quot_m, table.bound, cap))
-    return rows
+    ws = [sym_power(v, j) for j in range(p)]
+    tables = occurrence_tables(v, ws, m_max=cap)
+    return [ScanRow("sl2", p, 1, group.order, group.center_order,
+                    f"sym{j}", w.dim, table.minimal_sub_m,
+                    table.minimal_quot_m, table.bound, cap)
+            for j, (w, table) in enumerate(zip(ws, tables))]
 
 
 def main(argv=None) -> int:

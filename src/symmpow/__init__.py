@@ -19,7 +19,8 @@ from .construct import (Certificate, assemble, build_coset_products,
                         check_independence, find_generic_vector,
                         is_generic_vector)
 from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
-                   molien_table, occurrence_scan, verify_theorem)
+                   molien_table, occurrence_scan, occurrence_tables,
+                   verify_theorem)
 
 __version__ = "0.1.0"
 
@@ -41,6 +42,6 @@ __all__ = [
     "Certificate", "assemble", "build_coset_products", "check_independence",
     "find_generic_vector", "is_generic_vector",
     "OccurrenceTable", "TheoremReport", "VerifyOptions",
-    "molien_table", "occurrence_scan", "verify_theorem",
+    "molien_table", "occurrence_scan", "occurrence_tables", "verify_theorem",
     "__version__",
 ]

@@ -39,7 +39,7 @@ from .linalg import Mat
 from .meataxe import is_irreducible
 from .reps import defining_rep, paired_rep
 from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
-                   scan_module, verify_theorem)
+                   scan_modules, verify_theorem)
 
 SCHEMA = "symmpow-v1"
 
@@ -302,11 +302,12 @@ def cmd_scan(doc: ProblemDoc):
     group = _build_group(doc)
     v = defining_rep(group)
     opts = _verify_options(doc)
+    reps = _module_reps(doc, group)
     modules = []
-    for label, rep in _module_reps(doc, group):
-        # scan_module raises on every failure, so a returned table is ok
+    # scan_modules raises on every failure, so a returned table is ok
+    for (label, rep), table in zip(reps, scan_modules(v, reps, opts)):
         entry = {"label": label, "dim": rep.dim, "ok": True}
-        entry.update(enc_table(scan_module(v, rep, opts, label)))
+        entry.update(enc_table(table))
         modules.append(entry)
     report = {
         "schema": SCHEMA,

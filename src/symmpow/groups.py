@@ -187,6 +187,27 @@ def coset_transversal(group: GroupData):
     return transversal, coset_of
 
 
+def conjugacy_classes(group: GroupData):
+    """(least index, size) of each conjugacy class, in index order: the
+    orbits of x -> s^-1 x s for the generators s, which is
+    edges[inverse[edges[inverse[x]][k]]][k] in the group's tables."""
+    edges, inv = group.edges, group.inverse
+    seen, classes = set(), []
+    for a in range(group.order):
+        if a in seen:
+            continue
+        orbit = [a]
+        seen.add(a)
+        for x in orbit:
+            for k in range(len(group.generators)):
+                y = edges[inv[edges[inv[x]][k]]][k]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        classes.append((a, len(orbit)))
+    return classes
+
+
 def build_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
     """The complete group on the generators; see :func:`enumerate_group`."""
     return enumerate_group(generators, cap)

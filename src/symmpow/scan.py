@@ -1,15 +1,16 @@
 """Occurrence tables, the independent Molien oracle, and the full verifier.
 
-occurrence_scan brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
+occurrence_tables brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
 for m = 1..m_max from generator images of Sym^m V alone; each degree
 costs two spins of W, with dim Sym^m V unknowns per seed (see homs).  When
 the scalar generator z acts on V as mu (lam on the defining module), it
 acts on Sym^m V as mu^m, and a hom X from W has X W(z) = mu^m X (one to W,
 W(z) X = mu^m X): a degree whose mu^m is no eigenvalue of W(z) gets the
-row (m, 0, 0) with no solve.  The scan takes every Sym^m V, skipped or
-not, from sym_powers, each degree built from the one before; a single
-degree beyond the scan (verify_theorem's row at a certified degree) is
-built directly by sym_power.
+row (m, 0, 0) with no solve.  One degree loop serves every module of a
+document: sym_powers builds each Sym^m V once, from the one before, and
+keeps no other; occurrence_scan is the one-module case.  A single degree
+beyond the scan (verify_theorem's row at a certified degree) is built
+directly by sym_power.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -22,9 +23,11 @@ h_m += x^t h_{m-1} for m = 1..m_max in increasing order, which multiplies
 the series sum_m h_m T^m by 1 / (1 - x^t T).  Each product with a monomial
 is a rotation of coefficients, so no ring multiplication or division
 occurs.  Pairing with the lifted character of w at g^-1 adds one rotated
-copy of h_m per eigenvalue of w(g^-1).  The averaged pairing sum must
-reduce, modulo the L-th cyclotomic polynomial, to a constant divisible by
-|G|; the quotient is the exact integer multiplicity.
+copy of h_m per eigenvalue of w(g^-1).  Both lifted exponent lists are
+class functions, so each conjugacy class adds its representative's term
+times its size, and only representatives are pushed into GF(q^e).  The
+pairing sum must reduce, modulo the L-th cyclotomic polynomial, to a
+constant divisible by |G|; the quotient is the exact integer multiplicity.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from typing import NamedTuple
 
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
-from .fields import _prime_factors
-from .groups import scalar_of
+from .fields import _prime_factors, extend_field
+from .groups import conjugacy_classes, scalar_of
 from .homs import hom_space
 from .linalg import Mat, rank
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
@@ -58,33 +61,43 @@ def _scan_one(sym: Rep, w: Rep, m: int):
     return m, len(hom_space(w, sym)), len(hom_space(sym, w))
 
 
-def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
-                    cap_dim: int = DEFAULT_DIM_CAP) -> OccurrenceTable:
-    """Hom dimensions in both directions for every degree up to m_max.
-    A degree m whose mu^m (a function of m mod |Z|) is no eigenvalue of
-    W(z) gets zeros unsolved: X W(z) = mu^m X forces X = 0 for X from W."""
-    if v.group is not w.group:
-        raise ValueError("representations must share a group")
-    if v.field != w.field:
-        raise ValueError("representations must share a field")
-    group, field = v.group, w.field
-    if m_max is None:
-        m_max = group.order
+def occurrence_tables(v: Rep, ws, m_max: int | None = None,
+                      cap_dim: int = DEFAULT_DIM_CAP) -> list:
+    """Per module in ws, hom dimensions both ways up to m_max, on one
+    Sym^m(v) per degree.  A degree whose mu^m (m mod |Z|) is no eigenvalue
+    of W(z) gets zeros unsolved: X W(z) = mu^m X forces X = 0."""
+    group, field = v.group, v.field
+    z, n = group.z_generator_index, group.center_order
+    mu = scalar_of(v.images[z])
+    quiets = []
+    for w in ws:
+        if w.group is not group:
+            raise ValueError("representations must share a group")
+        if w.field != field:
+            raise ValueError("representations must share a field")
+        wz = w.images[z].rows
+        quiets.append([mu is not None and w.dim == rank(Mat._new(field, [
+            [field.sub(x, field.pow(mu, r)) if i == j else x
+             for j, x in enumerate(row)] for i, row in enumerate(wz)]))
+            for r in range(n)])
+    m_max = group.order if m_max is None else m_max
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     check_sym_dim(v.dim, m_max, cap_dim)
-    z, n = group.z_generator_index, group.center_order
-    mu, wz = scalar_of(v.images[z]), w.images[z].rows
-    silent = [mu is not None and w.dim == rank(Mat._new(field, [
-        [field.sub(x, field.pow(mu, r)) if i == j else x
-         for j, x in enumerate(row)] for i, row in enumerate(wz)]))
-        for r in range(n)]
-    rows = [(m, 0, 0) if silent[m % n] else _scan_one(sym, w, m)
-            for m, sym in enumerate(sym_powers(v, m_max), 1)]
-    minimal_sub = next((m for m, s, _ in rows if s > 0), None)
-    minimal_quot = next((m for m, _, qd in rows if qd > 0), None)
-    return OccurrenceTable(rows=rows, minimal_sub_m=minimal_sub,
-                           minimal_quot_m=minimal_quot, bound=group.order)
+    rows = [[] for _ in ws]
+    for m, sym in enumerate(sym_powers(v, m_max), 1):
+        for w, quiet, out in zip(ws, quiets, rows):
+            out.append((m, 0, 0) if quiet[m % n] else _scan_one(sym, w, m))
+    return [OccurrenceTable(
+        rows=r, minimal_sub_m=next((m for m, s, _ in r if s > 0), None),
+        minimal_quot_m=next((m for m, _, qd in r if qd > 0), None),
+        bound=group.order) for r in rows]
+
+
+def occurrence_scan(v: Rep, w: Rep, m_max: int | None = None,
+                    cap_dim: int = DEFAULT_DIM_CAP) -> OccurrenceTable:
+    """The occurrence table of the one module w; see occurrence_tables."""
+    return occurrence_tables(v, [w], m_max, cap_dim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +140,13 @@ def molien_table(v: Rep, w: Rep, m_max: int):
         raise ValueError("characteristic divides the group order; "
                          "the character oracle does not apply")
     order = group.order
-    orders = [group.element_order(i) for i in range(order)]
-    L = lcm(*orders) if orders else 1
+    classes = conjugacy_classes(group)
+    orders = [group.element_order(g) for g, _ in classes]
+    L = lcm(*orders)
     e = 1
     while pow(base.q, e, L) != 1 % L:
         e += 1
-    v_ext = extend_scalars(v, e)
-    w_ext = extend_scalars(w, e)
-    ext = v_ext.field
+    ext, table = extend_field(base, e)
     # the first y^((q^e - 1)/L), y = 1, 2, ..., of order exactly L: it
     # has x^L = 1, so its order is L iff x^(L/r) != 1 for every prime r | L
     cofactors = [L // r for r in _prime_factors(L)]
@@ -145,11 +157,12 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     def eigen_exponents(m: Mat, d: int):
         """Exponents t with eigenvalue omega^t, with multiplicity."""
         n = m.nrows
+        rows = [[table[x] for x in row] for row in m.rows]  # into ext
         exps = []
         for s in range(d):
             t = (L // d) * s
             xi = ext.pow(omega, t)
-            shifted = Mat._new(ext, [[ext.sub(m.rows[a][b],
+            shifted = Mat._new(ext, [[ext.sub(rows[a][b],
                                               xi if a == b else 0)
                                       for b in range(n)] for a in range(n)])
             exps.extend([t] * (n - rank(shifted)))
@@ -161,16 +174,15 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     # an element of Z[x]/(x^L - 1) is its coefficient list, and the
     # product with the monomial x^t is the rotation a[-t:] + a[:-t]
     totals = [[0] * L for _ in range(m_max + 1)]
-    for g in range(order):
+    for (g, size), d in zip(classes, orders):
         h = [[1] + [0] * (L - 1)] + [[0] * L for _ in range(m_max)]
-        for t in eigen_exponents(v_ext.images[g], orders[g]):
+        for t in eigen_exponents(v.images[g], d):
             for m in range(1, m_max + 1):
                 prev = h[m - 1]
                 h[m] = [a + b for a, b in zip(h[m], prev[-t:] + prev[:-t])]
-        gi = group.inverse[g]
-        for t in eigen_exponents(w_ext.images[gi], orders[gi]):
+        for t in eigen_exponents(w.images[group.inverse[g]], d):
             for m, hm in enumerate(h):
-                totals[m] = [a + b for a, b in
+                totals[m] = [a + size * b for a, b in
                              zip(totals[m], hm[-t:] + hm[:-t])]
     phi = _cyclotomic(L)
     out = []
@@ -203,35 +215,39 @@ class VerifyOptions(NamedTuple):
         return self.m_max if self.m_max is not None else group.order
 
 
-def scan_module(v: Rep, w: Rep, opts: VerifyOptions,
-                label: str = "") -> OccurrenceTable:
-    """Occurrence table of w to opts.depth, cross-checked.
+def scan_modules(v: Rep, modules, opts: VerifyOptions) -> list:
+    """Occurrence tables of every (label, w) in modules to opts.depth, from
+    one degree loop, cross-checked in module order.
 
     The character oracle runs when opts.molien is "on", or "auto" and the
     characteristic does not divide |G|; "on" when it does is malformed
-    input (ParseError).  A disagreement with the oracle, or a scan that
-    reaches |G| without finding both occurrences by |G|, contradicts the
-    theorem and raises TheoremViolation.
+    input (ParseError) once there is a module.  A disagreement with the
+    oracle, or a scan that reaches |G| without finding both occurrences
+    by |G|, contradicts the theorem and raises TheoremViolation.
     """
+    if not modules:
+        return []
     group = v.group
     coprime = group.order % v.field.p != 0
     if opts.molien == "on" and not coprime:
         raise ParseError("character oracle requested but the characteristic "
                          "divides the group order")
     m_max = opts.depth(group)
-    table = occurrence_scan(v, w, m_max=m_max, cap_dim=opts.cap_dim)
-    if opts.molien == "on" or (opts.molien == "auto" and coprime):
-        mt = molien_table(v, w, m_max)
-        table = table._replace(molien_multiplicities=mt[1:])
-        if any(s != mt[m] or qd != mt[m] for m, s, qd in table.rows):
+    tables = occurrence_tables(v, [w for _, w in modules], m_max,
+                               opts.cap_dim)
+    for i, ((label, w), table) in enumerate(zip(modules, tables)):
+        if opts.molien == "on" or (opts.molien == "auto" and coprime):
+            mt = molien_table(v, w, m_max)
+            table = tables[i] = table._replace(molien_multiplicities=mt[1:])
+            if any(s != mt[m] or qd != mt[m] for m, s, qd in table.rows):
+                raise TheoremViolation(
+                    f"module {label}: scan and character oracle disagree")
+        if m_max >= group.order and not all(
+                d is not None and d <= group.order
+                for d in (table.minimal_sub_m, table.minimal_quot_m)):
             raise TheoremViolation(
-                f"module {label}: scan and character oracle disagree")
-    if m_max >= group.order and not all(
-            d is not None and d <= group.order
-            for d in (table.minimal_sub_m, table.minimal_quot_m)):
-        raise TheoremViolation(
-            f"module {label}: no occurrence up to the bound {group.order}")
-    return table
+                f"module {label}: no occurrence up to the bound {group.order}")
+    return tables
 
 
 class TheoremReport(NamedTuple):
@@ -249,7 +265,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     """Run the whole argument for one module and check every step.
 
     Certifies irreducibility (a reducible module has no guaranteed
-    occurrence and gets None), scans with ``scan_module`` (which also runs
+    occurrence and gets None), scans with ``scan_modules`` (which also runs
     the character oracle), extends scalars to a splitting field, builds
     constructive certificates from a simple quotient (for the submodule
     claim) and a simple submodule (for the quotient claim), each verified
@@ -261,7 +277,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
     if not res.irreducible:
         return None
 
-    table = scan_module(v, w, opts, label)
+    table = scan_modules(v, [(label, w)], opts)[0]
     m_max = len(table.rows)
 
     # over GF(q^e) the submodule claim is built from a simple quotient

@@ -8,11 +8,17 @@ tests, not here.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 from dataclasses import dataclass
 
 import pytest
 
 import symmpow as sp
+from symmpow.cli import _build_group, _module_reps, parse_problem
+
+BENCH_INPUTS = (pathlib.Path(__file__).resolve().parents[1] / "bench"
+                / "inputs.py")
 
 
 @dataclass(frozen=True)
@@ -143,3 +149,20 @@ def c3_gf2():
     field = sp.make_field(2)
     group = sp.build_group([sp.Mat(field, [[0, 1], [1, 1]])])
     return group, sp.defining_rep(group)
+
+
+@pytest.fixture(scope="session")
+def load_doc():
+    """Builds (group, defining rep, [(label, module rep)]) of a document by
+    name: a shipped problem or a benchmark document (bench/inputs.py), in
+    its shipped basis."""
+    spec = importlib.util.spec_from_file_location("bench_inputs",
+                                                  BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+
+    def build(name):
+        doc = parse_problem(inputs.load_doc(name))
+        group = _build_group(doc)
+        return group, sp.defining_rep(group), _module_reps(doc, group)
+    return build

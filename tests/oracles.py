@@ -7,9 +7,14 @@ tests.
 
 from functools import reduce
 from itertools import product
+from math import lcm
 
-from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rref
-from symmpow.reps import PolyVec, Rep, monomial_basis, poly_mul, poly_one
+from symmpow.errors import TheoremViolation
+from symmpow.fields import _prime_factors
+from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rank, rref
+from symmpow.reps import (PolyVec, Rep, extend_scalars, monomial_basis,
+                          poly_mul, poly_one)
+from symmpow.scan import _cyclotomic, _poly_divmod
 
 
 def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
@@ -189,3 +194,81 @@ def null_space_by_entries(a: Mat) -> list:
             vec[pc] = a.field.neg(rows[k][j])
         basis.append(vec)
     return basis
+
+
+def molien_by_elements(v: Rep, w: Rep, m_max: int):
+    """Multiplicities of w in Sym^m(v) for m = 0..m_max, exact integers.
+
+    The Molien pairing summed element by element, each element's image
+    replayed over the root-of-unity extension; ``molien_table`` sums one
+    term per conjugacy class instead.
+    """
+    if v.group is not w.group:
+        raise ValueError("modules must share a group")
+    if v.field != w.field:
+        raise ValueError("modules must share a field")
+    group = v.group
+    base = v.field
+    if group.order % base.p == 0:
+        raise ValueError("characteristic divides the group order; "
+                         "the character oracle does not apply")
+    order = group.order
+    orders = [group.element_order(i) for i in range(order)]
+    L = lcm(*orders) if orders else 1
+    e = 1
+    while pow(base.q, e, L) != 1 % L:
+        e += 1
+    v_ext = extend_scalars(v, e)
+    w_ext = extend_scalars(w, e)
+    ext = v_ext.field
+    # the first y^((q^e - 1)/L), y = 1, 2, ..., of order exactly L: it
+    # has x^L = 1, so its order is L iff x^(L/r) != 1 for every prime r | L
+    cofactors = [L // r for r in _prime_factors(L)]
+    omega = next(x for x in (ext.pow(y, (ext.q - 1) // L)
+                             for y in range(1, ext.q))
+                 if all(ext.pow(x, d) != 1 for d in cofactors))
+
+    def eigen_exponents(m: Mat, d: int):
+        """Exponents t with eigenvalue omega^t, with multiplicity."""
+        n = m.nrows
+        exps = []
+        for s in range(d):
+            t = (L // d) * s
+            xi = ext.pow(omega, t)
+            shifted = Mat._new(ext, [[ext.sub(m.rows[a][b],
+                                              xi if a == b else 0)
+                                      for b in range(n)] for a in range(n)])
+            exps.extend([t] * (n - rank(shifted)))
+        if len(exps) != n:
+            raise TheoremViolation("element not diagonalizable in the "
+                                   "root-of-unity extension")
+        return exps
+
+    # an element of Z[x]/(x^L - 1) is its coefficient list, and the
+    # product with the monomial x^t is the rotation a[-t:] + a[:-t]
+    totals = [[0] * L for _ in range(m_max + 1)]
+    for g in range(order):
+        h = [[1] + [0] * (L - 1)] + [[0] * L for _ in range(m_max)]
+        for t in eigen_exponents(v_ext.images[g], orders[g]):
+            for m in range(1, m_max + 1):
+                prev = h[m - 1]
+                h[m] = [a + b for a, b in zip(h[m], prev[-t:] + prev[:-t])]
+        gi = group.inverse[g]
+        for t in eigen_exponents(w_ext.images[gi], orders[gi]):
+            for m, hm in enumerate(h):
+                totals[m] = [a + b for a, b in
+                             zip(totals[m], hm[-t:] + hm[:-t])]
+    phi = _cyclotomic(L)
+    out = []
+    for total in totals:
+        _, rem = _poly_divmod(total, phi)
+        if any(rem[1:]):
+            raise TheoremViolation("character pairing is not rational")
+        c = rem[0] if rem else 0
+        if c % order:
+            raise TheoremViolation("character pairing not divisible by |G|")
+        mult = c // order
+        if mult < 0:
+            raise TheoremViolation("negative multiplicity from the oracle")
+        out.append(mult)
+    return out

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import symmpow as sp
+from symmpow.groups import conjugacy_classes
 from symmpow.linalg import identity, mat_mul
 
 
@@ -120,3 +121,31 @@ def test_non_invertible_generator_rejected():
     F = sp.make_field(7)
     with pytest.raises(ValueError):
         sp.build_group([sp.Mat(F, [[1, 1], [1, 1]])])
+
+
+# class counts: S3, Q8, SL(2,3), SL(2,5), then the benchmark's B3 and
+# GL(2,3)
+CLASS_COUNTS = {"s3_gf7": 3, "q8_gf5": 5, "sl2_3_gf3": 7, "sl2_5_gf5": 9,
+                "b3_gf7": 10, "gl2_3_gf3_defining": 8}
+
+
+def test_conjugacy_classes_partition_the_group(load_doc):
+    for name, count in CLASS_COUNTS.items():
+        group, _, _ = load_doc(name)
+        classes = conjugacy_classes(group)
+        assert len(classes) == count, name
+        assert sum(size for _, size in classes) == group.order, name
+        assert [a for a, _ in classes] == sorted(a for a, _ in classes)
+        seen = set()
+        for a, size in classes:
+            # the class by matrix products, over every conjugating element
+            members = {group.prod(group.prod(group.inverse[g], a), g)
+                       for g in range(group.order)}
+            assert len(members) == size and min(members) == a, (name, a)
+            assert not members & seen, (name, a)
+            seen |= members
+            for s in group.generator_indices:
+                s_inv = group.inverse[s]
+                assert {group.prod(group.prod(s_inv, x), s)
+                        for x in members} == members, (name, a, s)
+        assert seen == set(range(group.order)), name

@@ -3,13 +3,15 @@ verification driver."""
 
 import json
 import pathlib
+from math import lcm
 
 import pytest
 
 import symmpow as sp
+import symmpow.cli as cli
 from symmpow.cli import _build_group, parse_problem
 
-from oracles import hom_dim_by_enumeration
+from oracles import hom_dim_by_enumeration, molien_by_elements
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -238,3 +240,92 @@ def test_filter_matches_unfiltered_scan_over_the_corpus():
                         for m, sym in enumerate(syms, 1)]
             assert sp.occurrence_scan(v, w, m_max).rows == expected, (
                 path.stem, spec.label)
+
+
+# ---------------------------------------------------------------------------
+# one degree loop per document: every module is solved on the one Sym^m
+# of each degree, and the checks run module by module afterwards
+
+def test_scan_builds_each_degree_once_for_all_modules(monkeypatch, tmp_path,
+                                                      capsys):
+    calls = []
+    sym_image = sp.reps._sym_image
+
+    def counting(*args):
+        calls.append(1)
+        return sym_image(*args)
+
+    monkeypatch.setattr(sp.reps, "_sym_image", counting)
+    out = tmp_path / "scan.json"
+    assert cli.main(["scan", "--input", str(PROBLEMS / "sl2_5_gf5.json"),
+                     "--m-max", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(json.loads(out.read_text())["modules"]) == 5
+    assert len(calls) == 2 * 8   # 2 generators x 8 degrees, not x 5 modules
+
+
+def test_shared_tables_match_per_module_scans_over_the_corpus(load_doc):
+    for path in sorted(PROBLEMS.glob("*.json")):
+        group, v, modules = load_doc(path.stem)
+        opts = sp.VerifyOptions(m_max=min(group.order, 12))
+        tables = sp.scan.scan_modules(v, modules, opts)
+        assert len(tables) == len(modules)
+        for (label, w), table in zip(modules, tables):
+            alone = sp.occurrence_scan(v, w, opts.m_max)
+            assert table._replace(molien_multiplicities=None) == alone, (
+                path.stem, label)
+            if group.order % v.field.p:
+                assert table.molien_multiplicities == sp.molien_table(
+                    v, w, opts.m_max)[1:], (path.stem, label)
+
+
+def test_document_without_modules_scans_nothing(tmp_path, capsys):
+    # p = 3 divides |SL(2,3)| = 24: with a module, --molien on is exit 2
+    doc = json.loads((PROBLEMS / "sl2_3_gf3.json").read_text())
+    doc["modules"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["scan", "--input", str(path), "--molien", "on"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("ok")
+
+
+def test_oracle_disagreement_names_the_first_failing_module(monkeypatch,
+                                                            tmp_path, capsys):
+    real = sp.scan.molien_table
+
+    def only_sign_disagrees(v, w, m_max):
+        mt = real(v, w, m_max)
+        sign = w.dim == 1 and w.gens[0].rows == [[6]]
+        return [x + 1 for x in mt] if sign else mt
+
+    monkeypatch.setattr(sp.scan, "molien_table", only_sign_disagrees)
+    # s3_gf7 lists trivial, sign, standard: module 2 of 3 disagrees
+    assert cli.main(["scan", "--input", str(PROBLEMS / "s3_gf7.json")]) == 6
+    err = capsys.readouterr().err
+    assert err == "error: module sign: scan and character oracle disagree\n"
+
+
+# ---------------------------------------------------------------------------
+# the Molien sum over conjugacy classes against the per-element sum
+
+def test_molien_by_classes_matches_the_element_sum(load_doc):
+    for path in sorted(PROBLEMS.glob("*.json")):
+        group, v, modules = load_doc(path.stem)
+        if group.order % v.field.p == 0:
+            continue
+        for label, w in modules:
+            assert sp.molien_table(v, w, 10) == molien_by_elements(
+                v, w, 10), (path.stem, label)
+
+
+def test_molien_by_classes_over_an_extension(load_doc):
+    # element orders of B3 reach 4 and 6, so L = 12 and 12 | 7^2 - 1:
+    # the eigenvalues live in GF(49)
+    group, v, modules = load_doc("b3_gf7")
+    L = lcm(*(group.element_order(g) for g in range(group.order)))
+    assert L == 12 and 7 % L != 1 and 7 ** 2 % L == 1
+    for label, w in modules:
+        expected = molien_by_elements(v, w, 8)
+        assert sp.molien_table(v, w, 8) == expected, label
+        assert expected[1:] == [m for _, m, _ in sp.occurrence_scan(
+            v, w, 8).rows], label
