@@ -100,10 +100,11 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
     elements = [ident]
     index = {ident.key(): 0}
     edges = []
+    parents = []  # (i, k) with elements[j] = elements[i] @ gens[k], j >= 1
     i = 0
     while i < len(elements):
         row = []
-        for g in gens:
+        for k, g in enumerate(gens):
             m = mat_mul(elements[i], g)
             key = m.key()
             j = index.get(key)
@@ -114,11 +115,14 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
                         f"group closure exceeded cap of {cap} elements")
                 index[key] = j
                 elements.append(m)
+                parents.append((i, k))
             row.append(j)
         edges.append(row)
         i += 1
 
-    inverse = [index[mat_inv(m).key()] for m in elements]
+    invs, inverse = [mat_inv(g) for g in gens], [0]
+    for i, k in parents:  # (x g)^-1 = g^-1 x^-1, and x precedes x g
+        inverse.append(index[mat_mul(invs[k], elements[inverse[i]]).key()])
     return GroupData(gens, elements, index, edges, inverse)
 
 

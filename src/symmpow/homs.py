@@ -8,7 +8,9 @@ of nv unknowns for its image, so reducible sources work too.  Spin vector
 b_i has image T_i y, y in a candidate space K.  A new vector a b_j gets
 b T_j; a dependent one, a b_j = sum c_i b_i, cuts K to the null space of
 b T_j - sum c_i T_i.  Each y in K gives X = [T_i y] B^-1, B = [b_i].  A
-larger source is solved through the transposed pairs.
+larger source is solved through the transposed pairs.  Reps in eigenbases
+of one h (Rep.eigen) have X commuting with h, so seed e_s opens only the
+target coordinates of its eigenvalue; seeds run smallest block first.
 
 The basis is canonical: the homs flattened row-major, in reduced echelon
 form with the columns taken right to left, ordered by pivot column.  It
@@ -23,11 +25,12 @@ from .linalg import (Mat, _eliminate, _row_ops, identity, mat_inv, mat_mul,
 from .reps import Rep
 
 
-def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
+def _spin(field, pairs, nu: int, nv: int, labels=None) -> list[Mat]:
     """Transposes of a basis of the nv x nu X with X a = b X for all
     (a, transpose(b)) in pairs.  T_i is kept as its k columns, rows of
     linalg's row form: an image b T_j combines nv rows and reduce updates
-    it at most nu times, so its slots never need renormalizing."""
+    it at most nu times, so its slots never need renormalizing.  Seed s
+    opens the target coordinates whose label (in labels[1]) is s's."""
     ops = _row_ops(field, nv + nu, nv)
     pack, unpack, _, sub, scale, combs, _ = ops
     row_sub, mul = field.row_sub, field.mul
@@ -49,15 +52,21 @@ def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
         ech.append((p, [mul(f, x) for x in w]))
         ts.append(scale(cols, f, nv))
 
+    src, dst = labels or ([0] * nu, [0] * nv)
+    blocks = {x: [c for c, y in enumerate(dst) if y == x] for x in set(dst)}
     j = 0
-    for s in range(nu):
+    for s in sorted(range(nu), key=lambda s: len(blocks.get(src[s], ()))):
         seed, _ = reduce([int(i == s) for i in range(nu)], [])
         if not any(seed):
             continue
-        zeros = pack([[0] * nv] * nv)
-        ts = [t + zeros for t in ts]
-        adjoin(seed, pack([[0] * nv] * k + identity(field, nv).rows))
-        k += nv
+        # M, the span so far, is a submodule, the sum of its parts in each
+        # eigenspace, so seed, the one vector of e_s + M that is 0 at M's
+        # pivots, keeps e_s's eigenvalue, and X maps it into its block
+        block = blocks.get(src[s], [])
+        ts = [t + pack([[0] * nv] * len(block)) for t in ts]
+        adjoin(seed, pack([[0] * nv] * k + [[int(i == c) for i in range(nv)]
+                                            for c in block]))
+        k += len(block)
         while j < len(ech):
             for a, bt in pairs:
                 # the image b T_j, as k columns of nv terms each
@@ -84,14 +93,15 @@ def _spin(field, pairs, nu: int, nv: int) -> list[Mat]:
             for y in range(k)]
 
 
-def hom_basis_from_pairs(field, pairs, nu: int, nv: int):
-    """Solve X a = b X for all (a, b) in pairs; X is nv x nu, row-major.
-    The solver behind hom_space; returns the canonical basis."""
+def hom_basis_from_pairs(field, pairs, nu: int, nv: int, labels=None):
+    """Solve X a = b X for all (a, b) in pairs; X is nv x nu, row-major,
+    labels the source's and target's.  Returns the canonical basis."""
     if nu <= nv:
         xs = [transpose(x) for x in _spin(
-            field, [(a, transpose(b)) for a, b in pairs], nu, nv)]
+            field, [(a, transpose(b)) for a, b in pairs], nu, nv, labels)]
     else:
-        xs = _spin(field, [(transpose(b), a) for a, b in pairs], nv, nu)
+        xs = _spin(field, [(transpose(b), a) for a, b in pairs], nv, nu,
+                   labels and labels[::-1])
     if not xs:
         return []
     reduced, r, _ = rref(Mat._new(
@@ -107,5 +117,6 @@ def hom_space(u: Rep, v: Rep) -> list[Mat]:
         raise ValueError("representations must share a group")
     if u.field != v.field:
         raise ValueError("representations must share a field")
-    return hom_basis_from_pairs(u.field, list(zip(u.gens, v.gens)),
-                                u.dim, v.dim)
+    same = u.eigen and v.eigen and u.eigen[0] == v.eigen[0]
+    return hom_basis_from_pairs(u.field, list(zip(u.gens, v.gens)), u.dim,
+                                v.dim, same and (u.eigen[1], v.eigen[1]))

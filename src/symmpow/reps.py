@@ -28,7 +28,7 @@ Conventions that every downstream module relies on:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -151,12 +151,13 @@ class Rep:
     matrices.  A mismatch raises NotARepresentation.  Generators determine
     the whole action, so stability and intertwining checks run on
     ``gens``; ``images`` is for the arguments that are per-element by
-    nature.
+    nature.  ``eigen`` is None, or (h, labels) for images written in an
+    eigenbasis of h's image, labels[i] the eigenvalue of coordinate i.
     """
 
-    __slots__ = ("group", "field", "dim", "gens", "_images")
+    __slots__ = ("group", "field", "dim", "gens", "eigen", "_images")
 
-    def __init__(self, group: GroupData, gens):
+    def __init__(self, group: GroupData, gens, eigen=None):
         gens = list(gens)
         if len(gens) != len(group.generators):
             raise ValueError("need one image per generator")
@@ -164,6 +165,7 @@ class Rep:
         self.gens = gens
         self.field = gens[0].field
         self.dim = gens[0].nrows
+        self.eigen = eigen
         self._images = None
 
     @property
@@ -191,7 +193,9 @@ class Rep:
 
 def defining_rep(group: GroupData) -> Rep:
     """The representation whose images are the group elements themselves."""
-    return Rep(group, group.generators)
+    rep = Rep(group, group.generators)
+    rep._images = group.elements
+    return rep
 
 
 def paired_rep(group: GroupData, gen_images) -> Rep:
@@ -300,12 +304,14 @@ def sym_power(v: Rep, m: int) -> Rep:
 
 def sym_powers(v: Rep, m_max: int):
     """Yield Sym^1(v), ..., Sym^m_max(v), each degree built from the one
-    before, which is the only one kept."""
+    before, the only one kept; x^alpha gets eigen label prod lam_i^alpha_i."""
     gens = [identity(v.field, 1)] * len(v.gens)
     for m in range(1, m_max + 1):
         basis = monomial_basis(v.dim, m)
         gens = [_sym_image(g, basis, prev) for g, prev in zip(v.gens, gens)]
-        yield Rep(v.group, gens)
+        yield Rep(v.group, gens, v.eigen and (v.eigen[0], [
+            reduce(v.field.mul, map(v.field.pow, v.eigen[1], a), 1)
+            for a in basis.exponents]))
 
 
 def dual_rep(r: Rep) -> Rep:

@@ -1,16 +1,18 @@
 """Occurrence tables, the independent Molien oracle, and the full verifier.
 
 occurrence_tables brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
-for m = 1..m_max from generator images of Sym^m V alone; each degree
-costs two spins of W, with dim Sym^m V unknowns per seed (see homs).  When
-the scalar generator z acts on V as mu (lam on the defining module), it
-acts on Sym^m V as mu^m, and a hom X from W has X W(z) = mu^m X (one to W,
-W(z) X = mu^m X): a degree whose mu^m is no eigenvalue of W(z) gets the
-row (m, 0, 0) with no solve.  One degree loop serves every module of a
-document: sym_powers builds each Sym^m V once, from the one before, and
-keeps no other; occurrence_scan is the one-module case.  A single degree
-beyond the scan (verify_theorem's row at a certified degree) is built
-directly by sym_power.
+for m = 1..m_max from generator images of Sym^m V alone, two spins of W
+per degree (see homs).  When the scalar generator z acts on V as mu (lam
+on the defining module), it acts on Sym^m V as mu^m, and a hom X from W
+has X W(z) = mu^m X (one to W, W(z) X = mu^m X): a degree whose mu^m is no
+eigenvalue of W(z) gets the row (m, 0, 0) with no solve.  The others are
+solved in an eigenbasis of one h in G of order dividing q - 1, diagonal
+on V and each W over F, which leaves hom dimensions alone: there every
+monomial of Sym^m V is an eigenvector, and a seed of W opens only the
+Sym^m coordinates of its eigenvalue.  One degree loop serves all modules:
+sym_powers builds each Sym^m V once, from the one before, and keeps no
+other; occurrence_scan is the one-module case.  A degree beyond the scan
+(verify_theorem's row at a certified degree) is built by sym_power.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -38,10 +40,10 @@ from typing import NamedTuple
 
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
-from .fields import _prime_factors, extend_field
+from .fields import _prime_factors, extend_field, mult_order
 from .groups import conjugacy_classes, scalar_of
 from .homs import hom_space
-from .linalg import Mat, rank
+from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, extend_scalars,
                    sym_power, sym_powers)
@@ -59,6 +61,41 @@ class OccurrenceTable(NamedTuple):
 
 def _scan_one(sym: Rep, w: Rep, m: int):
     return m, len(hom_space(w, sym)), len(hom_space(sym, w))
+
+
+def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
+    """r as P^-1 r(g) P, the columns of P eigenvectors of r(h) in order of
+    their eigenvalues omega^t, t < d = ord(h), and labelled by them."""
+    field, cols, lams = r.field, [], []
+    for t in range(d):
+        x = field.pow(omega, t)
+        cols += (vecs := null_space(Mat._new(field, [
+            [field.sub(a, x) if i == j else a for j, a in enumerate(row)]
+            for i, row in enumerate(r.images[h].rows)])))
+        lams += [x] * len(vecs)
+    p_inv = mat_inv(p := transpose(Mat._new(field, cols)))
+    return Rep(r.group, [mat_mul(mat_mul(p_inv, g), p) for g in r.gens],
+               (h, lams))
+
+
+def _eigen_element(v: Rep):
+    """(h, omega, d), omega of order d = ord(h) | q - 1, for the least class
+    representative h with the most eigenvalues on Sym^m V, the order of the
+    group the ratios of V(h)'s generate; None when that is always 1."""
+    group, field = v.group, v.field
+    best, most = None, 1
+    for h, _ in conjugacy_classes(group):
+        d = group.element_order(h)
+        if (field.q - 1) % d == 0:
+            omega = next(x for x in (field.pow(y, (field.q - 1) // d)
+                                     for y in range(1, field.q))
+                         if mult_order(field, x) == d)
+            lams = _in_eigenbasis(v, h, omega, d).eigen[1]
+            count = lcm(*(mult_order(field, field.mul(x, field.inv(lams[0])))
+                          for x in lams))
+            if count > most:
+                best, most = (h, omega, d), count
+    return best
 
 
 def occurrence_tables(v: Rep, ws, m_max: int | None = None,
@@ -84,6 +121,8 @@ def occurrence_tables(v: Rep, ws, m_max: int | None = None,
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     check_sym_dim(v.dim, m_max, cap_dim)
+    if eigen := _eigen_element(v):
+        v, *ws = [_in_eigenbasis(r, *eigen) for r in (v, *ws)]
     rows = [[] for _ in ws]
     for m, sym in enumerate(sym_powers(v, m_max), 1):
         for w, quiet, out in zip(ws, quiets, rows):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -152,17 +153,27 @@ def c3_gf2():
 
 
 @pytest.fixture(scope="session")
-def load_doc():
-    """Builds (group, defining rep, [(label, module rep)]) of a document by
-    name: a shipped problem or a benchmark document (bench/inputs.py), in
-    its shipped basis."""
+def bench_inputs():
+    """The benchmark's input module, bench/inputs.py."""
     spec = importlib.util.spec_from_file_location("bench_inputs",
                                                   BENCH_INPUTS)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
 
-    def build(name):
-        doc = parse_problem(inputs.load_doc(name))
+
+@pytest.fixture(scope="session")
+def load_doc(bench_inputs):
+    """Builds (group, defining rep, [(label, module rep)]) of a document by
+    name: a shipped problem or a benchmark document (bench/inputs.py), in
+    its shipped basis, or with a seed in the dense random bases that the
+    benchmark draws from it."""
+
+    def build(name, seed=None):
+        doc = bench_inputs.load_doc(name)
+        if seed is not None:
+            doc = bench_inputs.rebase(doc, random.Random(seed))
+        doc = parse_problem(doc)
         group = _build_group(doc)
         return group, sp.defining_rep(group), _module_reps(doc, group)
     return build

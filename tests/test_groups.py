@@ -1,12 +1,15 @@
 """Group enumeration, scalar center, and coset structure."""
 
+import pathlib
 from collections import Counter
 
 import pytest
 
 import symmpow as sp
 from symmpow.groups import conjugacy_classes
-from symmpow.linalg import identity, mat_mul
+from symmpow.linalg import identity, mat_inv, mat_mul
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def naive_closure(gen_mats):
@@ -149,3 +152,13 @@ def test_conjugacy_classes_partition_the_group(load_doc):
                 assert {group.prod(group.prod(s_inv, x), s)
                         for x in members} == members, (name, a, s)
         assert seen == set(range(group.order)), name
+
+
+def test_inverse_table_matches_matrix_inverses(load_doc):
+    # enumerate_group inverts through BFS parents, one mat_inv per generator
+    names = [p.stem for p in sorted(PROBLEMS.glob("*.json"))] + [
+        "b3_gf7", "gl2_3_gf3_defining"]
+    for name in names:
+        group, _, _ = load_doc(name)
+        assert group.inverse == [group.index[mat_inv(g).key()]
+                                 for g in group.elements], name

@@ -197,3 +197,32 @@ def test_mismatched_inputs_rejected(s3, q8):
     _, _, qmods = q8
     with pytest.raises(ValueError):
         sp.hom_space(mods["trivial"], qmods["trivial"])
+
+
+def test_eigen_labels_keep_every_hom_of_a_direct_sum(load_doc, bench_inputs):
+    # summands whose h-eigenvalues differ, written in a dense basis of the
+    # sum, so a later seed reduces against the span of an earlier one and
+    # its T(e_s) has to be carried through that reduction
+    rng = random.Random(3)
+    for name, parts in (("s3_gf7", ("trivial", "standard")),
+                        ("sl2_5_gf5", ("defining", "sym4")),
+                        ("sl2_5_gf5", ("sym2", "trivial", "sym2")),
+                        ("b3_gf7", ("det", "defining")),
+                        ("q8_gf5", ("chi_i", "defining", "trivial"))):
+        group, v, modules = load_doc(name)
+        field, mods = v.field, dict(modules)
+        direct = _direct_sum(*(mods[p] for p in parts))
+        w = sp.paired_rep(group, [Mat(field, g) for g in (
+            bench_inputs.conjugate_general([g.rows for g in direct.gens],
+                                           field.p, rng))])
+        lv, lw = (sp.scan._in_eigenbasis(r, *sp.scan._eigen_element(v))
+                  for r in (v, w))
+        assert len(set(lw.eigen[1])) > 1
+        for m, (sym, lsym) in enumerate(zip(sp.sym_powers(v, 6),
+                                            sp.sym_powers(lv, 6)), 1):
+            for a, b, la, lb in ((w, sym, lw, lsym), (sym, w, lsym, lw)):
+                basis = sp.hom_space(la, lb)
+                assert len(basis) == len(sp.hom_space(a, b)), (name, m)
+                for x in basis:
+                    assert all(mat_mul(gb, x) == mat_mul(x, ga)
+                               for ga, gb in zip(la.gens, lb.gens))

@@ -256,3 +256,15 @@ def test_sym_powers_match_sym_power(request, name, depth, e):
         assert sym.gens == sp.sym_power(v, m).gens, m
         degrees = m
     assert degrees == depth
+
+
+def test_defining_rep_takes_the_elements_as_images(monkeypatch, load_doc):
+    # the elements are the closure of the generators, so there is nothing
+    # to replay
+    group, _, _ = load_doc("sl2_5_gf5")
+    calls = []
+    monkeypatch.setattr(sp.reps, "mat_mul", lambda *a: calls.append(a))
+    v = sp.defining_rep(group)
+    assert v.gens == group.generators
+    assert v.images == group.elements
+    assert not calls

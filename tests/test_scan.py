@@ -10,6 +10,7 @@ import pytest
 import symmpow as sp
 import symmpow.cli as cli
 from symmpow.cli import _build_group, parse_problem
+from symmpow.linalg import rank
 
 from oracles import hom_dim_by_enumeration, molien_by_elements
 
@@ -329,3 +330,149 @@ def test_molien_by_classes_over_an_extension(load_doc):
         assert sp.molien_table(v, w, 8) == expected, label
         assert expected[1:] == [m for _, m, _ in sp.occurrence_scan(
             v, w, 8).rows], label
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis path: the scan conjugates V and every W by eigenvectors of
+# one semisimple h, and each seed of a hom solve opens only the Sym^m
+# coordinates of its own h-eigenvalue
+
+EIGEN_DOCS = [p.stem for p in sorted(PROBLEMS.glob("*.json"))] + [
+    "b3_gf7", "gl2_3_gf3_defining"]
+
+# (order of h, eigenvalues of h on Sym^m) for the h the scan picks
+EIGEN_ELEMENTS = {"sl2_5_gf5": (4, 2), "q8_gf5": (4, 2), "b3_gf7": (3, 3),
+                  "s3_gf7": (3, 3), "gl2_3_gf3_defining": (2, 2),
+                  "sl2_3_gf3": None, "sl2_2_gf2": None, "c3_gf7": None,
+                  "c4_gf5": None, "c6_gf7": None}
+
+
+def _eigenvalue_ratio_order(v, g):
+    """The order of the group that the ratios of V(g)'s eigenvalues in F
+    generate, the eigenvalues found by trying every field element."""
+    field, n = v.field, v.dim
+    lams = [x for x in range(1, field.q)
+            if rank(sp.Mat(field, [[field.sub(a, x) if i == j else a
+                                    for j, a in enumerate(row)]
+                                   for i, row in enumerate(
+                                       v.images[g].rows)])) < n]
+    inv = field.inv(lams[0])
+    return lcm(*(sp.mult_order(field, field.mul(x, inv)) for x in lams))
+
+
+def _labelled(v, ws):
+    """v and ws conjugated into the scan's eigenbasis, or None."""
+    eigen = sp.scan._eigen_element(v)
+    return eigen and [sp.scan._in_eigenbasis(r, *eigen) for r in (v, *ws)]
+
+
+def test_eigen_element_has_the_most_eigenvalues_on_sym(load_doc):
+    for name, expected in EIGEN_ELEMENTS.items():
+        group, v, _ = load_doc(name)
+        q = v.field.q
+        counts = [(_eigenvalue_ratio_order(v, g), g)
+                  for g, _ in sp.groups.conjugacy_classes(group)
+                  if (q - 1) % group.element_order(g) == 0]
+        most = max(c for c, _ in counts)
+        eigen = sp.scan._eigen_element(v)
+        if expected is None:
+            assert most == 1 and eigen is None, name
+            continue
+        h, omega, d = eigen
+        assert h == min(g for c, g in counts if c == most), name
+        assert d == group.element_order(h) and sp.mult_order(
+            v.field, omega) == d, name
+        lv, = _labelled(v, [])
+        sym = list(sp.sym_powers(lv, 6))[-1]
+        assert (d, len(set(sym.eigen[1]))) == expected, name
+        # h's image is diagonal in the new basis, with the labels on it
+        assert lv.images[h].rows == [
+            [lam if i == j else 0 for j in range(v.dim)]
+            for i, lam in enumerate(lv.eigen[1])], name
+        assert lv.eigen[0] == h
+
+
+def test_eigenbasis_solves_match_plain_solves_in_dense_bases(load_doc):
+    for name in EIGEN_DOCS:
+        for seed in (1, 2):
+            group, v, modules = load_doc(name, seed=seed)
+            ws = [w for _, w in modules]
+            m_max = min(group.order, 8)
+            plain = [[sp.scan._scan_one(sym, w, m) for w in ws]
+                     for m, sym in enumerate(sp.sym_powers(v, m_max), 1)]
+            tables = sp.occurrence_tables(v, ws, m_max)
+            assert [t.rows for t in tables] == [list(r) for r in
+                                                zip(*plain)], name
+            labelled = _labelled(v, ws)
+            if labelled is None:
+                continue
+            lv, *lws = labelled
+            for m, sym in enumerate(sp.sym_powers(lv, m_max), 1):
+                # every degree, also those the central filter answers
+                assert [sp.scan._scan_one(sym, w, m) for w in lws] == \
+                    plain[m - 1], (name, seed, m)
+
+
+def _spin_labels(monkeypatch, v, w, m_max):
+    """(nu, nv, labels) of every spin of w's scan against v."""
+    calls, spin = [], sp.homs._spin
+
+    def recording(field, pairs, nu, nv, labels=None):
+        calls.append((nu, nv, labels))
+        return spin(field, pairs, nu, nv, labels)
+
+    monkeypatch.setattr(sp.homs, "_spin", recording)
+    sp.occurrence_scan(v, w, m_max)
+    monkeypatch.undo()
+    return calls
+
+
+def _first_block(monkeypatch, u, w):
+    """How many unknowns the solve of Hom(u, w) holds when it first maps a
+    spin vector: the first seed's block (its first unpack of a T_j)."""
+    sizes, row_ops = [], sp.homs._row_ops
+
+    def recording(*args):
+        ops = row_ops(*args)
+
+        def unpack(xs, n):
+            sizes.append(len(xs))
+            return ops.unpack(xs, n)
+        return ops._replace(unpack=unpack)
+
+    monkeypatch.setattr(sp.homs, "_row_ops", recording)
+    sp.hom_space(u, w)
+    monkeypatch.undo()
+    return sizes[0]
+
+
+def test_first_seed_opens_half_of_sym_on_sl2_5(monkeypatch, load_doc):
+    # h has eigenvalues i, -i on V, so x^a y^b has i^m (-1)^b on Sym^m:
+    # blocks of (m + 2) // 2 and (m + 1) // 2 of the m + 1 coordinates
+    _, v, modules = load_doc("sl2_5_gf5")
+    for label, degrees in (("defining", (1, 3, 5, 7, 9)),
+                           ("sym2", (2, 4, 6, 8))):
+        w = dict(modules)[label]
+        lv, lw = _labelled(v, [w])
+        for m, (sym, lsym) in enumerate(zip(sp.sym_powers(v, 9),
+                                            sp.sym_powers(lv, 9)), 1):
+            if m not in degrees:  # the degrees the filter leaves
+                continue
+            assert _first_block(monkeypatch, w, sym) == m + 1
+            # smallest block first: at even m, m // 2 of m // 2 + 1
+            assert _first_block(monkeypatch, lw, lsym) == (m + 1) // 2
+            blocks = sorted(lsym.eigen[1].count(x) for x in set(lw.eigen[1]))
+            assert blocks == [(m + 1) // 2, (m + 2) // 2], (label, m)
+        calls = _spin_labels(monkeypatch, v, w, 9)
+        assert len(calls) == 2 * len(degrees)
+        assert all(labels is not None for *_, labels in calls)
+
+
+def test_scans_without_an_eligible_element_are_unlabelled(monkeypatch,
+                                                          load_doc):
+    for name in ("sl2_3_gf3", "sl2_2_gf2"):
+        _, v, modules = load_doc(name)
+        assert sp.scan._eigen_element(v) is None
+        for _, w in modules:
+            calls = _spin_labels(monkeypatch, v, w, 6)
+            assert calls and all(labels is None for *_, labels in calls)
