@@ -201,8 +201,9 @@ def test_mismatched_inputs_rejected(s3, q8):
 
 def test_eigen_labels_keep_every_hom_of_a_direct_sum(load_doc, bench_inputs):
     # summands whose h-eigenvalues differ, written in a dense basis of the
-    # sum, so a later seed reduces against the span of an earlier one and
-    # its T(e_s) has to be carried through that reduction
+    # sum, so a later seed reduces against the span of an earlier one, and
+    # its block holds every hom only if the reduced seed keeps its
+    # eigenvalue
     rng = random.Random(3)
     for name, parts in (("s3_gf7", ("trivial", "standard")),
                         ("sl2_5_gf5", ("defining", "sym4")),
