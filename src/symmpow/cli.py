@@ -61,6 +61,22 @@ class ProblemDoc(NamedTuple):
     options: dict
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, with each
+    list of plain ints (not bools, which write as true) in one join."""
+    inner, ends = indent + "  ", "[]"
+    if isinstance(obj, dict) and obj:
+        items, ends = (f"{json.dumps(k)}: {_dumps(v, inner)}"
+                       for k, v in sorted(obj.items())), "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        ints = all(type(x) is int for x in obj)
+        items = map(str, obj) if ints else (_dumps(x, inner) for x in obj)
+    else:
+        return json.dumps(obj)
+    body = (",\n" + inner).join(items)
+    return f"{ends[0]}\n{inner}{body}\n{indent}{ends[1]}"
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -444,7 +460,7 @@ def main(argv=None) -> int:
         report, code = args.fn(doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+                fh.write(_dumps(report) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

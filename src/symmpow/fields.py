@@ -7,20 +7,22 @@ lowest degree first.  For f = 1 an element is simply its residue mod p.
 The encoding makes equality, hashing and serialization trivial and lets the
 hot paths (Gaussian elimination, polynomial expansion) run on machine ints.
 
-Extensions come in two regimes.  Up to q = 2^16 every operation is a lookup
-in three O(q) tables over the least generator g of GF(q)*: exp, log, and
-the Zech logarithm Z with 1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).
-Larger fields decode both operands to coefficient vectors on every call.
+Extensions come in three regimes.  Up to q = 256 the row kernels index
+full addition and multiplication tables, as the C MeatAxe does.  Up to
+q = 2^16 every element operation is a lookup in three O(q) tables over the
+least generator g of GF(q)*: exp, log, and the Zech logarithm Z with
+1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).  Larger fields decode
+both operands to coefficient vectors on every call.
 
 Two row kernels carry the row arithmetic that ``linalg`` does not pack
 (see its docstring): ``row_sub(xs, f, ys)`` is the row xs - f*ys, and
 ``row_comb(coeffs, rows, n)`` the length-n row sum(c*row) over the nonzero
 coefficients, each row given sparsely as (column, value) pairs.  Over a
 prime field they run on plain ints with one ``% p`` per entry; over an
-extension they call the element operations.  ``row_sub`` serves the list
-rows of ``linalg``'s eliminations (extension fields, primes too large to
-pack, narrow matrices); ``row_comb`` serves ``linalg.mat_vec``,
-``reps``'s Sym^m generator images and products over extension fields.
+extension they index the full tables or call the element operations.
+``row_sub`` serves the list rows of ``linalg``'s eliminations (extension
+fields, primes too large to pack, narrow matrices); ``row_comb`` serves
+``linalg.mat_vec``, ``reps``'s polynomial products and Sym^m images.
 
 The modulus is always the lexicographically smallest monic irreducible
 polynomial of degree f over Z_p, coefficients compared lowest degree first,
@@ -32,6 +34,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import CapExceeded
 
@@ -54,6 +57,14 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def _digit_sums(p: int, n: int):
+    """Rows of a + b, digit by digit mod p, for codes a, b < n = p^k."""
+    rows = [list(range(n))]
+    for a in range(1, n):
+        rows.append([rows[a // p][b // p] * p + (a + b) % p for b in range(n)])
+    return rows
 
 
 def _square_multiply(mul, a, e: int):
@@ -117,13 +128,14 @@ class FieldSpec:
     ``sub``, ``neg``, ``mul``, ``inv`` and ``pow`` are the element
     operations, ``row_sub`` and ``row_comb`` the row kernels;
     ``coeffs``/``element`` convert between int codes and coefficient
-    vectors.
+    vectors.  Up to 256 elements, ``add_table[a][b]`` is a + b and
+    ``mul_table[a][b]`` a * b, one ``bytes`` row per a (None otherwise).
     """
 
     __slots__ = (
         "p", "f", "q", "modulus",
         "add", "sub", "neg", "mul", "inv", "pow", "row_sub", "row_comb",
-        "_exp", "_log",
+        "add_table", "mul_table", "_exp", "_log",
     )
 
     def __init__(self, p: int, f: int, modulus):
@@ -131,14 +143,27 @@ class FieldSpec:
         self.f = f
         self.q = p ** f
         self.modulus = tuple(modulus)
-        self._exp = self._log = None
+        self._exp = self._log = self.add_table = self.mul_table = None
         if f == 1:
             self._setup_prime()
-        else:
-            self._setup_extension()
-            # the row kernels of an extension call the element operations
-            add, sub, mul = self.add, self.sub, self.mul
+            return
+        self._setup_extension()
+        add, sub, neg, mul = self.add, self.sub, self.neg, self.mul
+        add_t, mul_t = self.add_table, self.mul_table
+        if add_t:
+            def row_sub(xs, f, ys):  # x - f*y is add_t[x][mul_t[-f][y]]
+                zs = bytes(ys).translate(mul_t[neg(f)])
+                return [add_t[x][z] for x, z in zip(xs, zs)]
 
+            def row_comb(coeffs, rows, n):
+                acc = [0] * n
+                for c, row in zip(coeffs, rows):
+                    if c:
+                        mc = mul_t[c]
+                        for j, y in row:
+                            acc[j] = add_t[acc[j]][mc[y]]
+                return acc
+        else:
             def row_sub(xs, f, ys):
                 return [sub(x, mul(f, y)) if y else x for x, y in zip(xs, ys)]
 
@@ -150,7 +175,7 @@ class FieldSpec:
                             acc[j] = add(acc[j], mul(c, y))
                 return acc
 
-            self.row_sub, self.row_comb = row_sub, row_comb
+        self.row_sub, self.row_comb = row_sub, row_comb
 
     # construction helpers -------------------------------------------------
 
@@ -294,9 +319,15 @@ class FieldSpec:
                           for e in cofactors))
         exp = self._exp = [1] * qm1
         log = self._log = [0] * q
+        # x * gen is the digit sum of lo * gen and hi * P * gen, x = hi*P + lo
+        P = p ** (self.f // 2)
+        dsum = _digit_sums(p, q // P)
+        lo_t = [divmod(self._raw_mul(x, gen), P) for x in range(P)]
+        hi_t = [divmod(self._raw_mul(x * P, gen), P) for x in range(q // P)]
         x = 1
         for k in range(1, qm1):
-            x = self._raw_mul(x, gen)
+            (a1, a0), (b1, b0) = lo_t[x % P], hi_t[x // P]
+            x = dsum[a1][b1] * P + dsum[a0][b0]
             exp[k] = x
             log[x] = k
         # exponents are summed unreduced and looked up in the doubled tables;
@@ -354,6 +385,14 @@ class FieldSpec:
 
         self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
             add, sub, neg, mul, inv, pw)
+        if q <= 256:  # full tables: a code fits in a byte
+            # row a of mul translates the log codes (0's read as q - 1) by
+            # exp[log a + k]; 256 long, a row is a translate table itself
+            logs = bytes([qm1] + log[1:] + [qm1] * (256 - q))
+            self.mul_table = [bytes(256)] + [
+                logs.translate(bytes(exp2[la:la + qm1]) + bytes(257 - q))
+                for la in log[1:]]
+            self.add_table = [bytes(row) for row in _digit_sums(p, q)]
 
     # element codecs -------------------------------------------------------
 
@@ -420,6 +459,7 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldSpec:
     degree first, monic); it is verified irreducible by exhaustive trial
     division.  Without one, the lexicographically smallest monic irreducible
     polynomial is selected, so the same (p, f) always yields the same field.
+    Each field is built once per process and shared.
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError(f"p must be prime, got {p}")
@@ -445,7 +485,10 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldSpec:
             raise ValueError("modulus is reducible")
     else:
         modulus = (0, 1) if f == 1 else _lex_min_irreducible(p, f)
-    return FieldSpec(p, f, modulus)
+    return _shared_field(p, f, modulus)  # checked: the cache takes True as 1
+
+
+_shared_field = lru_cache(maxsize=None)(FieldSpec)
 
 
 def mult_order(field: FieldSpec, a: int) -> int:

@@ -29,7 +29,7 @@ Conventions that every downstream module relies on:
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import comb
 
 from .errors import CapExceeded, NotARepresentation
@@ -108,22 +108,16 @@ def poly_mul(a: PolyVec, b: PolyVec) -> PolyVec:
         raise ValueError("variable count mismatch")
     n = a.basis.n
     out_basis = monomial_basis(n, a.basis.m + b.basis.m)
-    add, mul = a.field.add, a.field.mul
-    index = out_basis.index
-    coeffs = [0] * len(out_basis)
-    a_exps = a.basis.exponents
-    b_exps = b.basis.exponents
-    for ia, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        ea = a_exps[ia]
-        for ib, cb in enumerate(b.coeffs):
-            if not cb:
-                continue
-            eb = b_exps[ib]
-            k = index[tuple(x + y for x, y in zip(ea, eb))]
-            coeffs[k] = add(coeffs[k], mul(ca, cb))
-    return PolyVec(a.field, out_basis, coeffs)
+    if n == 2:
+        # x1^(m-i) x2^i has index i, so a product's index is ia + ib
+        rows = (zip(count(ia), b.coeffs) for ia in range(len(a.coeffs)))
+    else:
+        index = out_basis.index
+        rows = ([(index[tuple(map(int.__add__, ea, eb))], cb)
+                 for eb, cb in zip(b.basis.exponents, b.coeffs) if cb]
+                if ca else () for ea, ca in zip(a.basis.exponents, a.coeffs))
+    return PolyVec(a.field, out_basis,
+                   a.field.row_comb(a.coeffs, rows, len(out_basis)))
 
 
 def poly_pow(a: PolyVec, k: int) -> PolyVec:
@@ -264,20 +258,26 @@ def _sym_image_from(m: Mat, basis: MonomialBasis, prev: Mat) -> Mat:
     # times x_j, the coefficient of beta moves to beta + e_j, so column
     # alpha is a combination of prev's column alpha - e_i, shifted
     n = basis.n
-    lower = monomial_basis(n, basis.m - 1)
-    shifts = [[basis.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
-               for e in lower.exponents] for j in range(n)]
     prev_cols = [[(k, x) for k, x in enumerate(col) if x]
                  for col in zip(*prev.rows)]
     forms = [[m.rows[j][i] for j in range(n)] for i in range(n)]
     comb, dim = m.field.row_comb, len(basis)
-    cols = []
-    for alpha in basis.exponents:
-        i = next(k for k, a in enumerate(alpha) if a)
-        col = prev_cols[lower.index[alpha[:i] + (alpha[i] - 1,)
-                                    + alpha[i + 1:]]]
-        cols.append(comb(forms[i], [[(up[k], x) for k, x in col]
-                                    for up in shifts], dim))
+    if n == 2:
+        # x1^(d-k) x2^k has index k, so column k is a*c + b*(c moved down
+        # one): c is prev's column min(k, d-1), (a, b) m's column k == d
+        cols = [comb(forms[k == dim - 1], [c, [(r + 1, x) for r, x in c]],
+                     dim) for k, c in enumerate(prev_cols + prev_cols[-1:])]
+    else:
+        lower = monomial_basis(n, basis.m - 1)
+        shifts = [[basis.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
+                   for e in lower.exponents] for j in range(n)]
+        cols = []
+        for alpha in basis.exponents:
+            i = next(k for k, a in enumerate(alpha) if a)
+            col = prev_cols[lower.index[alpha[:i] + (alpha[i] - 1,)
+                                        + alpha[i + 1:]]]
+            cols.append(comb(forms[i], [[(up[k], x) for k, x in col]
+                                        for up in shifts], dim))
     return Mat._new(m.field, [list(r) for r in zip(*cols)])
 
 

@@ -152,6 +152,19 @@ def mat_mul_by_entries(a: Mat, b: Mat) -> list:
             for row in a.rows]
 
 
+def poly_mul_by_exponents(a: PolyVec, b: PolyVec) -> list:
+    """Coefficients of a * b: each pair of terms finds its product's
+    index by its exponent vector, for any number of variables."""
+    field, n = a.field, a.basis.n
+    out = monomial_basis(n, a.basis.m + b.basis.m)
+    coeffs = [0] * len(out)
+    for ea, ca in zip(a.basis.exponents, a.coeffs):
+        for eb, cb in zip(b.basis.exponents, b.coeffs):
+            k = out.index[tuple(x + y for x, y in zip(ea, eb))]
+            coeffs[k] = field.add(coeffs[k], field.mul(ca, cb))
+    return coeffs
+
+
 def mat_vec_by_entries(a: Mat, v) -> list:
     add, mul = a.field.add, a.field.mul
     return [reduce(add, map(mul, row, v), 0) for row in a.rows]

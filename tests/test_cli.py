@@ -83,6 +83,39 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _corpus_reports():
+    # check and scan on every shipped document, construct on those of
+    # group order at most 60, as the corpus digests pin them
+    for path in sorted(PROBLEMS.glob("*.json")):
+        for cmd in (cli.cmd_check, cli.cmd_scan, cli.cmd_construct):
+            if cmd is not cli.cmd_construct or path.stem != "sl2_5_gf5":
+                doc = cli.parse_problem(json.loads(path.read_text()))
+                yield f"{cmd.__name__} {path.stem}", cmd(doc)[0]
+
+
+def test_report_writer_matches_json_dumps_on_the_corpus():
+    for name, report in _corpus_reports():
+        assert cli._dumps(report) == json.dumps(report, sort_keys=True,
+                                                indent=2), name
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=200)
+@given(obj=JSON_VALUES)
+def test_report_writer_matches_json_dumps_on_any_json(obj):
+    # bools are ints to isinstance but write as true and false; big ints,
+    # non-ASCII text and empty containers take json's own spelling
+    for value in (obj, [obj], [1, True, obj], [2 ** 70, -3, 0], {"é": obj},
+                  [], {}, [[]], {"": {}}):
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True,
+                                               indent=2)
+
+
 def test_human_summary_goes_to_stdout(tmp_path, capsys):
     doc = write_doc(tmp_path, S3_DOC)
     assert run(["scan", "--input", doc]) == 0

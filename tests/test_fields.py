@@ -152,19 +152,56 @@ def test_field_equality_and_bad_inputs():
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (3, 2), (2, 4), (5, 3), (2, 8),
-                                 (3, 6), (31, 2), (3, 10)])
+                                 (3, 6), (31, 2), (3, 10), (7, 5), (2, 16)])
 def test_exp_log_generator_is_least_primitive_code(p, f):
     F = sp.make_field(p, f)
     q = F.q
     gen = F._exp[1]
-    # the tables walk all of GF(q)* by repeated raw multiplication, so the
-    # table-backed mul that mult_order uses is the field's own
+    # the tables walk all of GF(q)* by a precomputed multiplication by
+    # gen, checked here against raw multiplication, so the table-backed
+    # mul that mult_order uses is the field's own
     assert sorted(F._exp) == list(range(1, q))
     for k in range(0, q - 1, max(1, q // 97)):
         assert F._exp[(k + 1) % (q - 1)] == F._raw_mul(F._exp[k], gen)
         assert F._log[F._exp[k]] == k
     assert sp.mult_order(F, gen) == q - 1
     assert all(sp.mult_order(F, c) < q - 1 for c in range(2, gen))
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (3, 3), (5, 3), (2, 8), (3, 6)])
+def test_full_tables_agree_with_the_element_operations(p, f):
+    # GF(4), GF(27), GF(125) and GF(256) get one bytes row per element;
+    # GF(729) lies past the bound and has none
+    F = sp.make_field(p, f)
+    if F.q > 256:
+        assert F.add_table is None and F.mul_table is None
+        return
+    assert len(F.add_table) == len(F.mul_table) == F.q
+    for a in range(F.q):
+        assert list(F.add_table[a][:F.q]) == [F.add(a, b) for b in range(F.q)]
+        assert list(F.mul_table[a][:F.q]) == [F.mul(a, b) for b in range(F.q)]
+
+
+def test_fields_are_built_once_per_value():
+    F = sp.make_field(5, 2)
+    assert sp.make_field(5, 2) is F
+    # a list modulus is normalized to a tuple before the cache sees it
+    G = sp.make_field(3, 2, [2, 1, 1])
+    assert sp.make_field(3, 2, (2, 1, 1)) is G and G.modulus == (2, 1, 1)
+    # True == 1 and hash(True) == hash(1), so validation runs before the
+    # cache: a bool is rejected even where its int is cached
+    sp.make_field(5, 1)
+    sp.make_field(2, 2, (1, 1, 1))
+    for args in [(5, True), (True, 1), (2, 2, (True, 1, 1)),
+                 (2, 2, [1, 1, True])]:
+        with pytest.raises(ValueError):
+            sp.make_field(*args)
+    with pytest.raises(ValueError):
+        sp.make_field(2, 2, [[1], 1, 1])  # unhashable entries are rejected
+    with pytest.raises(ValueError):
+        sp.make_field(2, 2, (1, 0, 1))  # twice: a failure is not cached
+    with pytest.raises(ValueError):
+        sp.make_field(2, 2, (1, 0, 1))
 
 
 def oracle_coeffs(a, p, f):

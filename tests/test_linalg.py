@@ -155,3 +155,30 @@ def test_gf8191_rref_renormalizes_rows_mid_elimination():
     worst = sp.Mat(field, rows + [[1] * 80 + [0] * 20])
     reduced, rk, pivots = rref(worst)
     assert (reduced.rows, rk, list(pivots)) == rref_by_entries(worst)
+
+
+@pytest.mark.parametrize("p, f", [(2, 2), (3, 3), (5, 3), (2, 8), (3, 6)])
+def test_table_row_kernels_match_the_per_entry_oracles(p, f):
+    # GF(4), GF(27), GF(125) and GF(256) run the row kernels on full
+    # tables; GF(729), past the bound, on the element operations
+    field = sp.make_field(p, f)
+    assert (field.mul_table is None) == (field.q > 256)
+    rng = random.Random(field.q)
+
+    def entry():  # zeros and q - 1 often
+        return rng.choice([0, 0, field.q - 1, rng.randrange(field.q)])
+
+    for nrows, inner, ncols in [(7, 3, 9), (12, 12, 12), (5, 9, 1),
+                                (1, 4, 20)]:
+        x = sp.Mat(field, [[entry() for _ in range(inner)]
+                           for _ in range(nrows)])
+        y = sp.Mat(field, [[entry() for _ in range(ncols)]
+                           for _ in range(inner)])
+        a = sp.Mat(field, mat_mul_by_entries(x, y))  # rank <= inner
+        assert mat_mul(x, y) == a
+        v = [entry() for _ in range(ncols)]
+        assert mat_vec(a, v) == [row[0] for row in mat_mul_by_entries(
+            a, sp.Mat(field, [[c] for c in v]))]
+        reduced, rk, pivots = rref(a)
+        assert (reduced.rows, rk, list(pivots)) == rref_by_entries(a)
+        assert null_space(a) == null_space_by_entries(a)

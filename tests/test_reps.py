@@ -13,7 +13,7 @@ from symmpow.linalg import (Mat, identity, mat_inv, mat_mul, mat_vec, rank,
                             transpose)
 from symmpow.reps import _sym_image
 
-from oracles import apply_to_poly, hom_defect_count
+from oracles import apply_to_poly, hom_defect_count, poly_mul_by_exponents
 
 
 def test_monomial_basis_order():
@@ -110,6 +110,21 @@ def test_poly_arithmetic_by_hand():
     assert sp.poly_mul(one, xy) == xy
     assert sp.poly_pow(x, 4).coeffs[0] == 1
     assert sum(sp.poly_pow(x, 4).coeffs) == 1
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (3, 3), (5, 3), (3, 6)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poly_mul_matches_the_exponent_oracle(p, f, n):
+    # two variables index a product by ia + ib, more by exponent vectors;
+    # over GF(27) and GF(125) the sums run on full tables, over GF(729)
+    # on the element operations
+    F = sp.make_field(p, f)
+    rng = random.Random(f"{p}^{f}/{n}")
+    for da, db in [(0, 0), (0, 5), (1, 1), (4, 7), (9, 3)]:
+        a, b = (sp.PolyVec(F, sp.monomial_basis(n, d), [
+            rng.choice([0, 0, F.q - 1, rng.randrange(F.q)])
+            for _ in range(comb(n + d - 1, d))]) for d in (da, db))
+        assert sp.poly_mul(a, b).coeffs == poly_mul_by_exponents(a, b)
 
 
 def test_dual_rep(q8):
