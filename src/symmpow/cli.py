@@ -262,14 +262,25 @@ def _build_group(doc: ProblemDoc) -> GroupData:
         raise ParseError(f"invalid generators: {exc}")
 
 
-def _group_summary(group: GroupData):
+def _report(kind: str, doc: ProblemDoc, group: GroupData, modules: list,
+            ok: bool, **extra):
+    """The frame every command's report shares, and the exit code: 0 when
+    ok, 1 when a module failed certification."""
     return {
-        "order": group.order,
-        "center_order": group.center_order,
-        "coset_count": group.coset_count,
-        "dim": group.dim,
-        "generators": len(group.generators),
-    }
+        "schema": SCHEMA,
+        "kind": f"{kind}-report",
+        "field": enc_field(doc.field),
+        "group": {
+            "order": group.order,
+            "center_order": group.center_order,
+            "coset_count": group.coset_count,
+            "dim": group.dim,
+            "generators": len(group.generators),
+        },
+        "modules": modules,
+        "ok": ok,
+        **extra,
+    }, 0 if ok else 1
 
 
 def _verify_options(doc: ProblemDoc) -> VerifyOptions:
@@ -289,75 +300,42 @@ def cmd_check(doc: ProblemDoc):
     irreducibility of each module."""
     group = _build_group(doc)
     seed = _verify_options(doc).seed
-    modules = []
-    all_ok = True
-    for label, rep in _module_reps(doc, group):
-        res = is_irreducible(rep, seed)
-        all_ok = all_ok and res.irreducible
-        modules.append({
-            "label": label,
-            "dim": rep.dim,
-            "verdict": res.verdict,
-            "draws": res.draws,
-            "certificate": _split_certificate_json(doc.field, res.certificate),
-        })
-    report = {
-        "schema": SCHEMA,
-        "kind": "check-report",
-        "field": enc_field(doc.field),
-        "group": _group_summary(group),
-        "modules": modules,
-        "ok": all_ok,
-    }
-    return report, 0 if all_ok else 1
+    reps = _module_reps(doc, group)
+    verdicts = [is_irreducible(rep, seed) for _, rep in reps]
+    modules = [{
+        "label": label,
+        "dim": rep.dim,
+        "verdict": res.verdict,
+        "draws": res.draws,
+        "certificate": _split_certificate_json(doc.field, res.certificate),
+    } for (label, rep), res in zip(reps, verdicts)]
+    return _report("check", doc, group, modules,
+                   all(res.irreducible for res in verdicts))
 
 
 def cmd_scan(doc: ProblemDoc):
     """Occurrence tables for every module, with the character oracle as a
     cross-check when the characteristic permits."""
     group = _build_group(doc)
-    v = defining_rep(group)
     opts = _verify_options(doc)
     reps = _module_reps(doc, group)
-    modules = []
+    tables = scan_modules(defining_rep(group), reps, opts)
     # scan_modules raises on every failure, so a returned table is ok
-    for (label, rep), table in zip(reps, scan_modules(v, reps, opts)):
-        entry = {"label": label, "dim": rep.dim, "ok": True}
-        entry.update(enc_table(table))
-        modules.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "kind": "scan-report",
-        "field": enc_field(doc.field),
-        "group": _group_summary(group),
-        "m_max": opts.depth(group),
-        "modules": modules,
-        "ok": True,
-    }
-    return report, 0
+    modules = [{"label": label, "dim": rep.dim, "ok": True, **enc_table(table)}
+               for (label, rep), table in zip(reps, tables)]
+    return _report("scan", doc, group, modules, True, m_max=opts.depth(group))
 
 
 def cmd_construct(doc: ProblemDoc):
     """Full verification per module, certificates serialized in full."""
     group = _build_group(doc)
-    v = defining_rep(group)
-    opts = _verify_options(doc)
-    modules = []
-    for label, rep in _module_reps(doc, group):
-        tr = verify_theorem(v, rep, opts, label=label)
-        # a reducible module gets no report
-        modules.append({"label": label, "dim": rep.dim,
-                        "report": tr if tr is None else enc_theorem_report(tr)})
-    any_reducible = any(m["report"] is None for m in modules)
-    report = {
-        "schema": SCHEMA,
-        "kind": "construct-report",
-        "field": enc_field(doc.field),
-        "group": _group_summary(group),
-        "modules": modules,
-        "ok": not any_reducible,
-    }
-    return report, 1 if any_reducible else 0
+    reps = _module_reps(doc, group)
+    reports = verify_theorem(defining_rep(group), reps, _verify_options(doc))
+    # a reducible module gets no report
+    modules = [{"label": label, "dim": rep.dim,
+                "report": tr if tr is None else enc_theorem_report(tr)}
+               for (label, rep), tr in zip(reps, reports)]
+    return _report("construct", doc, group, modules, None not in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +348,6 @@ def _print_check(report):
     for m in report["modules"]:
         print(f"  {m['label']}: dim {m['dim']}, {m['verdict']} "
               f"({m['draws']} draws)")
-    print("ok" if report["ok"] else "FAILED")
 
 
 def _print_scan(report):
@@ -386,7 +363,6 @@ def _print_scan(report):
         print(f"    quot: {quot_row}")
         if m["molien"] is not None:
             print(f"    char: {' '.join(str(x) for x in m['molien'])}")
-    print("ok" if report["ok"] else "FAILED")
 
 
 def _print_construct(report):
@@ -406,7 +382,6 @@ def _print_construct(report):
               f"shifts verified {len(r['periodicity'])}")
         print("    base-field witnesses: submodule yes, quotient yes; "
               "scan consistent: yes")
-    print("ok" if report["ok"] else "FAILED")
 
 
 _PRINTERS = {"check-report": _print_check, "scan-report": _print_scan,
@@ -419,11 +394,8 @@ _PRINTERS = {"check-report": _print_check, "scan-report": _print_scan,
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="problem document (JSON)")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--m-max", type=int, dest="m_max")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cap-group", type=int, dest="cap_group")
-    p.add_argument("--cap-dim", type=int, dest="cap_dim")
+    for key in _INT_OPTIONS:
+        p.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
     p.add_argument("--molien", choices=("auto", "on", "off"))
 
 
@@ -473,6 +445,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 7
     _PRINTERS[report["kind"]](report)
+    print("ok" if report["ok"] else "FAILED")
     return code
 
 

@@ -12,7 +12,8 @@ full addition and multiplication tables, as the C MeatAxe does.  Up to
 q = 2^16 every element operation is a lookup in three O(q) tables over the
 least generator g of GF(q)*: exp, log, and the Zech logarithm Z with
 1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).  Larger fields decode
-both operands to coefficient vectors on every call.
+both operands to coefficient vectors on every call and invert as a^(q-2).
+Every extension subtracts as a + (-b).
 
 Two row kernels carry the row arithmetic that ``linalg`` does not pack
 (see its docstring): ``row_sub(xs, f, ys)`` is the row xs - f*ys, and
@@ -148,7 +149,12 @@ class FieldSpec:
             self._setup_prime()
             return
         self._setup_extension()
-        add, sub, neg, mul = self.add, self.sub, self.neg, self.mul
+        add, neg, mul = self.add, self.neg, self.mul
+
+        def sub(a, b):
+            return add(a, neg(b))
+
+        self.sub = sub
         add_t, mul_t = self.add_table, self.mul_table
         if add_t:
             def row_sub(xs, f, ys):  # x - f*y is add_t[x][mul_t[-f][y]]
@@ -165,7 +171,8 @@ class FieldSpec:
                 return acc
         else:
             def row_sub(xs, f, ys):
-                return [sub(x, mul(f, y)) if y else x for x, y in zip(xs, ys)]
+                nf = neg(f)
+                return [add(x, mul(nf, y)) if y else x for x, y in zip(xs, ys)]
 
             def row_comb(coeffs, rows, n):
                 acc = [0] * n
@@ -253,61 +260,29 @@ class FieldSpec:
                     prod[d - f + i] = (prod[d - f + i] - c * mod[i]) % p
         return self._raw_encode(prod[:f])
 
-    def _raw_inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        # extended Euclid on coefficient polynomials
-        r0, r1 = list(self.modulus), _poly_trim(self._raw_coeffs(a))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q_poly = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            r = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(_poly_trim(r)) >= len(r1) and r:
-                c = r[-1] * inv_lead % p
-                off = len(r) - len(r1)
-                q_poly[off] = c
-                for i, bc in enumerate(r1):
-                    r[off + i] = (r[off + i] - c * bc) % p
-                _poly_trim(r)
-            # s_next = s0 - q*s1
-            s_next = list(s0) + [0] * max(0, len(q_poly) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q_poly):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s_next[i + j] = (s_next[i + j] - qc * sc) % p
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(s_next)
-        # r0 is the gcd, a nonzero constant
-        c_inv = pow(r0[0], p - 2, p)
-        coeffs = [(x * c_inv) % p for x in s0]
-        coeffs += [0] * (self.f - len(coeffs))
-        return self._raw_encode(coeffs[: self.f])
-
     def _setup_extension(self):
         p, q = self.p, self.q
         if q > _EXP_LOG_LIMIT:
-            mul, inv, code, enc = (
-                self._raw_mul, self._raw_inv, self._raw_coeffs, self._raw_encode)
+            mul, code, enc = self._raw_mul, self._raw_coeffs, self._raw_encode
 
             def add(a, b):
                 return enc([(x + y) % p for x, y in zip(code(a), code(b))])
 
-            def sub(a, b):
-                return enc([(x - y) % p for x, y in zip(code(a), code(b))])
-
             def neg(a):
                 return enc([(-c) % p for c in code(a)])
+
+            def inv(a):  # a^(q-2), by Fermat in GF(q)*
+                if a == 0:
+                    raise ZeroDivisionError("inverse of zero")
+                return _square_multiply(mul, a, q - 2)
 
             def pw(a, e):
                 if e < 0:
                     a, e = inv(a), -e
                 return _square_multiply(mul, a, e)
 
-            self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
-                add, sub, neg, mul, inv, pw)
+            self.add, self.neg, self.mul, self.inv, self.pow = (
+                add, neg, mul, inv, pw)
             return
 
         # exp/log over the least code of order q - 1: the first c with
@@ -352,15 +327,6 @@ class FieldSpec:
             z = zech[log[b] - la]
             return exp2[la + z] if z >= 0 else 0
 
-        def sub(a, b):
-            if b == 0:
-                return a
-            if a == 0:
-                return exp2[log[b] + half]
-            la = log[a]
-            z = zech[log[b] + half - la]
-            return exp2[la + z] if z >= 0 else 0
-
         def neg(a):
             return exp2[log[a] + half] if a else 0
 
@@ -383,8 +349,8 @@ class FieldSpec:
                 return 0
             return exp[(log[a] * e) % qm1]
 
-        self.add, self.sub, self.neg, self.mul, self.inv, self.pow = (
-            add, sub, neg, mul, inv, pw)
+        self.add, self.neg, self.mul, self.inv, self.pow = (
+            add, neg, mul, inv, pw)
         if q <= 256:  # full tables: a code fits in a byte
             # row a of mul translates the log codes (0's read as q - 1) by
             # exp[log a + k]; 256 long, a row is a translate table itself
@@ -417,7 +383,7 @@ class FieldSpec:
     def to_json(self, a: int):
         """Element a as reports write it: the int itself over a prime field,
         its coefficient vector over an extension."""
-        return a if self.f == 1 else self.coeffs(a)
+        return a if self.f == 1 else self._raw_coeffs(a)
 
     def from_json(self, obj) -> int:
         """The element that to_json writes as obj; ValueError otherwise."""

@@ -11,8 +11,9 @@ on V and each W over F, which leaves hom dimensions alone: there every
 monomial of Sym^m V is an eigenvector, and a seed of W opens only the
 Sym^m coordinates of its eigenvalue.  One degree loop serves all modules:
 sym_powers builds each Sym^m V once, from the one before, and keeps no
-other; occurrence_scan is the one-module case.  A degree beyond the scan
-(verify_theorem's row at a certified degree) is built by sym_power.
+other; occurrence_scan is the one-module case.  verify_theorem scans a
+document's irreducible modules in one scan_modules call, as the scan
+command does; a certified degree beyond the scan is built by sym_power.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -299,24 +300,33 @@ class TheoremReport(NamedTuple):
     periodicity: list
 
 
-def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
-                   label: str = "") -> TheoremReport | None:
-    """Run the whole argument for one module and check every step.
+def verify_theorem(v: Rep, modules, options: VerifyOptions | None = None
+                   ) -> list:
+    """Run the whole argument for every (label, w) in modules, checking
+    every step; one TheoremReport per module, None for a reducible one.
 
-    Certifies irreducibility (a reducible module has no guaranteed
-    occurrence and gets None), scans with ``scan_modules`` (which also runs
-    the character oracle), extends scalars to a splitting field, builds
-    constructive certificates from a simple quotient (for the submodule
-    claim) and a simple submodule (for the quotient claim), each verified
-    at the shifts 1..k_max too, and descends both occurrences to the base
-    field.  Every failed step raises, so a returned report is verified.
+    Certifies the irreducibility of every module first (a reducible module
+    has no guaranteed occurrence), scans the irreducible ones together
+    with ``scan_modules`` (one Sym^m per degree, and the character
+    oracle), then certifies each module against its own table.  Every
+    failed step raises, so a returned report is verified.
     """
     opts = options or VerifyOptions()
-    res = is_irreducible(w, opts.seed)
-    if not res.irreducible:
-        return None
+    verdicts = [is_irreducible(w, opts.seed) for _, w in modules]
+    pairs = list(zip(modules, verdicts))
+    tables = iter(scan_modules(v, [mod for mod, res in pairs
+                                   if res.irreducible], opts))
+    return [_certify(v, label, w, res.draws, next(tables), opts)
+            if res.irreducible else None for (label, w), res in pairs]
 
-    table = scan_modules(v, [(label, w)], opts)[0]
+
+def _certify(v: Rep, label: str, w: Rep, draws: int, table: OccurrenceTable,
+             opts: VerifyOptions) -> TheoremReport:
+    """The report of the irreducible w, whose scan is table: extends
+    scalars to a splitting field, builds constructive certificates from a
+    simple quotient (for the submodule claim) and a simple submodule (for
+    the quotient claim), each verified at the shifts 1..k_max too, and
+    descends both occurrences to the base field."""
     m_max = len(table.rows)
 
     # over GF(q^e) the submodule claim is built from a simple quotient
@@ -349,7 +359,7 @@ def verify_theorem(v: Rep, w: Rep, options: VerifyOptions | None = None,
                 f"degree {row[0]}")
 
     return TheoremReport(
-        irreducible_draws=res.draws,
+        irreducible_draws=draws,
         splitting_degree=e,
         sub_claim=cert_sub,
         quot_claim=cert_quot,

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import symmpow as sp
-from symmpow.cli import _build_group, parse_problem
+from symmpow.cli import _build_group, _module_reps, parse_problem
 
 pytestmark = pytest.mark.acceptance
 
@@ -42,12 +42,10 @@ def sweep():
             (PROBLEMS / f"{name}.json").read_text()))
         group = _build_group(doc)
         v = sp.defining_rep(group)
-        reports = {}
-        for spec in doc.modules:
-            w = sp.paired_rep(group, spec.images)
-            reports[spec.label] = sp.verify_theorem(
-                v, w, sp.VerifyOptions(k_max=0), label=spec.label)
-        out[name] = (group, v, reports)
+        modules = _module_reps(doc, group)
+        reports = sp.verify_theorem(v, modules, sp.VerifyOptions(k_max=0))
+        out[name] = (group, v, {label: rep for (label, _), rep
+                                in zip(modules, reports)})
     elapsed = time.perf_counter() - t0
     return out, elapsed
 
@@ -127,13 +125,14 @@ def test_criterion_5_periodicity_witnesses():
     s3 = sp.build_group([sp.Mat(F7, [[0, 1], [1, 0]]),
                          sp.Mat(F7, [[0, 6], [1, 6]])])
     sign = sp.paired_rep(s3, [sp.Mat(F7, [[6]]), sp.Mat(F7, [[1]])])
-    rep_a = sp.verify_theorem(sp.defining_rep(s3), sign,
-                              sp.VerifyOptions(k_max=1))
+    [rep_a] = sp.verify_theorem(sp.defining_rep(s3), [("sign", sign)],
+                                sp.VerifyOptions(k_max=1))
     F3 = sp.make_field(3)
     sl23 = sp.build_group([sp.Mat(F3, [[1, 1], [0, 1]]),
                            sp.Mat(F3, [[1, 0], [1, 1]])])
     v3 = sp.defining_rep(sl23)
-    rep_b = sp.verify_theorem(v3, v3, sp.VerifyOptions(k_max=1))
+    [rep_b] = sp.verify_theorem(v3, [("defining", v3)],
+                                sp.VerifyOptions(k_max=1))
     ok = rep_a.periodicity == [True] and rep_b.periodicity == [True]
     _emit(5, ok, "shifted witnesses verified at degree m + |G| for S3 sign "
           "and for SL2(3) defining in dividing characteristic")

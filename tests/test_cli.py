@@ -177,7 +177,7 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_reducible_module_exits_1(tmp_path, capsys):
+def test_reducible_module_exits_1(tmp_path, capsys, monkeypatch):
     doc = {
         "schema": "symmpow-v1",
         "field": {"p": 7, "f": 1},
@@ -190,7 +190,9 @@ def test_reducible_module_exits_1(tmp_path, capsys):
     }
     path = write_doc(tmp_path, doc)
     assert run(["check", "--input", path]) == 1
+    built = _count_degrees(monkeypatch)
     assert run(["construct", "--input", path]) == 1
+    assert built == []      # a reducible module is not scanned
     text = capsys.readouterr().out
     assert "REDUCIBLE" in text
 
@@ -305,8 +307,69 @@ def test_construct_runs_the_meataxe_once_per_module(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _count_degrees(monkeypatch):
+    """The degrees scan.sym_powers yields from now on, in one list."""
+    built, real = [], scan.sym_powers
+
+    def counting(v, m_max):
+        for m, sym in enumerate(real(v, m_max), 1):
+            built.append(m)
+            yield sym
+    monkeypatch.setattr(scan, "sym_powers", counting)
+    return built
+
+
+@pytest.mark.parametrize("stem,depth", [
+    ("c3_gf7", 3), ("c4_gf5", 4), ("c6_gf7", 6), ("q8_gf5", 8),
+    ("s3_gf7", 6), ("sl2_2_gf2", 6), ("sl2_3_gf3", 24)])
+def test_construct_shares_the_scan_of_its_document(stem, depth, monkeypatch):
+    # construct scans all of a document's modules on one Sym^m per degree,
+    # the scan that scan makes: each module's "scan" block is its entry of
+    # the scan report, and the tower is built once, not once per module
+    doc = cli.parse_problem(json.loads((PROBLEMS / f"{stem}.json").read_text()))
+    scan_report, _ = cli.cmd_scan(doc)
+    built = _count_degrees(monkeypatch)
+    construct_report, _ = cli.cmd_construct(doc)
+    assert scan_report["m_max"] == depth
+    assert built == list(range(1, depth + 1))
+    for entry, module in zip(scan_report["modules"],
+                             construct_report["modules"], strict=True):
+        assert module["report"]["scan"] == {
+            k: v for k, v in entry.items() if k not in ("label", "dim", "ok")}
+
+
+def test_irreducibility_verdicts_come_before_any_certificate(capsys,
+                                                            monkeypatch):
+    # every module's MeatAxe verdict precedes the scan and the
+    # certificates, so the last module's inconclusive test (exit 5) wins
+    # over the first module's certificate running past the cap (exit 3)
+    argv = ["construct", "--input", str(PROBLEMS / "s3_gf7.json"),
+            "--m-max", "2", "--k-max", "100", "--cap-dim", "50"]
+    raised, real_assemble = [], scan.assemble
+
+    def recording(*args):
+        try:
+            return real_assemble(*args)
+        except Exception as exc:
+            raised.append(type(exc).__name__)
+            raise
+    monkeypatch.setattr(scan, "assemble", recording)
+    assert run(argv) == 3
+    assert raised == ["CapExceeded"]
+    real = scan.is_irreducible
+
+    def inconclusive_standard(rep, seed=0, budget=64):
+        if rep.dim == 2:    # "standard", the last module
+            raise MeataxeInconclusive("no verdict after 0 draws")
+        return real(rep, seed, budget)
+    monkeypatch.setattr(scan, "is_irreducible", inconclusive_standard)
+    assert run(argv) == 5
+    assert raised == ["CapExceeded"]    # no certificate was attempted
+    capsys.readouterr()
+
+
 def test_internal_violation_exits_6(tmp_path, capsys, monkeypatch):
-    def fake(v, w, options=None, label=""):
+    def fake(v, modules, options=None):
         raise TheoremViolation("verified identity failed: synthetic")
     monkeypatch.setattr(cli, "verify_theorem", fake)
     path = write_doc(tmp_path, S3_DOC)
@@ -326,20 +389,24 @@ def test_oracle_disagreement_exits_6(tmp_path, capsys, monkeypatch, s3):
     assert "Traceback" not in err
     _, v, mods = s3
     with pytest.raises(TheoremViolation):
-        scan.verify_theorem(v, mods["sign"], scan.VerifyOptions(k_max=0))
+        scan.verify_theorem(v, [("sign", mods["sign"])],
+                            scan.VerifyOptions(k_max=0))
 
 
 def test_missing_base_occurrence_is_a_violation(tmp_path, capsys,
                                                 monkeypatch, s3):
     # a scan row that lacks the certified occurrence contradicts the
-    # theorem: verify_theorem raises, and construct writes no report
+    # theorem: verify_theorem raises, and construct writes no report.
+    # The document's modules are all scanned before any is certified, so
+    # the oracle is off: it would reject the standard module's faked row
+    # at m = 1 before the trivial module's certificate is checked
     monkeypatch.setattr(scan, "_scan_one", lambda v, w, m: (m, 0, 0))
     _, v, mods = s3
     with pytest.raises(TheoremViolation, match="certified degree"):
-        scan.verify_theorem(v, mods["sign"],
+        scan.verify_theorem(v, [("sign", mods["sign"])],
                             scan.VerifyOptions(m_max=1, k_max=0))
     out = tmp_path / "r.json"
-    assert run(["construct", "--m-max", "1", "--input",
+    assert run(["construct", "--m-max", "1", "--molien", "off", "--input",
                 str(PROBLEMS / "s3_gf7.json"), "--out", str(out)]) == 6
     assert not out.exists()
     err = capsys.readouterr().err

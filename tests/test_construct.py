@@ -186,7 +186,8 @@ def test_periodicity_schedule(s3, monkeypatch):
     assert [args[1] for args in sym_calls] == [5, 11, 17]
     assert len(coset_calls) == 1
     assert len(hom_calls) == 3 + 2
-    rep = sp.verify_theorem(v, mods["sign"], sp.VerifyOptions(k_max=2))
+    [rep] = sp.verify_theorem(v, [("sign", mods["sign"])],
+                              sp.VerifyOptions(k_max=2))
     assert rep.periodicity == [True, True]
 
 

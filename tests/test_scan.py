@@ -115,8 +115,8 @@ def test_molien_over_a_large_prime_field():
 
 def test_verify_theorem_s3_sign(s3):
     _, v, mods = s3
-    rep = sp.verify_theorem(v, mods["sign"],
-                            sp.VerifyOptions(k_max=1), label="sign")
+    [rep] = sp.verify_theorem(v, [("sign", mods["sign"])],
+                              sp.VerifyOptions(k_max=1))
     assert rep.splitting_degree == 1
     assert rep.irreducible_draws == 0
     assert rep.sub_claim.degree == 5 and rep.quot_claim.degree == 5
@@ -128,7 +128,8 @@ def test_verify_theorem_s3_sign(s3):
 
 def test_verify_theorem_modular_case(sl23):
     _, v, mods = sl23
-    rep = sp.verify_theorem(v, mods["defining"], sp.VerifyOptions(k_max=0))
+    [rep] = sp.verify_theorem(v, [("defining", mods["defining"])],
+                              sp.VerifyOptions(k_max=0))
     assert rep.molien_ok is None  # characteristic divides the group order
     assert rep.sub_claim.degree == 23
     assert rep.sub_claim.extension_degree == 3
@@ -138,7 +139,7 @@ def test_verify_theorem_modular_case(sl23):
 
 def test_verify_theorem_non_absolute_case(c3_gf2):
     _, w = c3_gf2
-    rep = sp.verify_theorem(w, w, sp.VerifyOptions(k_max=0))
+    [rep] = sp.verify_theorem(w, [("w", w)], sp.VerifyOptions(k_max=0))
     assert rep.splitting_degree == 2
     assert rep.sub_claim is not rep.quot_claim
     assert rep.sub_claim.degree == 2 and rep.quot_claim.degree == 2
@@ -149,17 +150,17 @@ def test_verify_theorem_rejects_reducible(s3_perm):
     group, perm = s3_perm
     v = sp.defining_rep(group)
     # a reducible module has no guaranteed occurrence, so no report
-    assert sp.verify_theorem(v, perm) is None
+    assert sp.verify_theorem(v, [("perm", perm)]) == [None]
 
 
 def test_molien_options_flow(s3):
     _, v, mods = s3
-    rep = sp.verify_theorem(v, mods["trivial"],
-                            sp.VerifyOptions(k_max=0, molien="off"))
+    [rep] = sp.verify_theorem(v, [("trivial", mods["trivial"])],
+                              sp.VerifyOptions(k_max=0, molien="off"))
     assert rep.molien_ok is None
     assert rep.table.molien_multiplicities is None
-    rep_on = sp.verify_theorem(v, mods["trivial"],
-                               sp.VerifyOptions(k_max=0, molien="on"))
+    [rep_on] = sp.verify_theorem(v, [("trivial", mods["trivial"])],
+                                 sp.VerifyOptions(k_max=0, molien="on"))
     assert rep_on.molien_ok is True
     assert rep_on.table.molien_multiplicities == [0, 1, 1, 1, 1, 2]
 
