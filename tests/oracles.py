@@ -12,8 +12,9 @@ from math import lcm
 from symmpow.errors import TheoremViolation
 from symmpow.fields import _prime_factors
 from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rank, rref
-from symmpow.reps import (PolyVec, Rep, extend_scalars, monomial_basis,
-                          poly_mul, poly_one)
+from symmpow.reps import (PolyVec, Rep, defining_rep, extend_scalars,
+                          monomial_basis, poly_mul, poly_one, poly_pow,
+                          sym_power)
 from symmpow.scan import _cyclotomic, _poly_divmod
 
 
@@ -140,6 +141,41 @@ def hom_basis_by_kronecker(field, pairs, nu: int, nv: int):
     vecs = null_space(Mat._new(field, rows))
     return [Mat._new(field, [vec[i * nu:(i + 1) * nu] for i in range(nv)])
             for vec in vecs]
+
+
+def shifted_span_action(cert, group, k: int) -> list:
+    """Each generator's action on the span of cert times C^k, rebuilt in
+    Sym^(m + k|G|): one N x N matrix per generator, with the entry at
+    (coset of g h_c, c) the scalar by which g moves the c-th polynomial
+    onto that coset's.
+
+    The rank of the N shifted polynomials and every one of those moves is
+    checked on the shifted span itself, polynomial by polynomial;
+    ``assemble`` checks them at k = 0 only and derives the shifts.
+    """
+    field = cert.field
+    v_rep = extend_scalars(defining_rep(group), cert.extension_degree)
+    c_k = poly_pow(cert.orbit_product, k)
+    span = [poly_mul(p, c_k).coeffs for p in cert.span_polys]
+    n = len(span)
+    if rank(Mat._new(field, span)) != n:
+        raise TheoremViolation("shifted span has rank below N")
+    sym = sym_power(v_rep, cert.degree + k * cert.group_order)
+    gens = []
+    for g, sym_g in zip(group.generator_indices, sym.gens):
+        rows = [[0] * n for _ in range(n)]
+        for c in range(n):
+            moved = mat_vec(sym_g, span[c])
+            c2 = group.coset_of[group.prod(g, group.transversal[c])]
+            target = span[c2]
+            i0 = next(i for i, x in enumerate(target) if x)
+            ratio = field.mul(moved[i0], field.inv(target[i0]))
+            if not ratio or moved != [field.mul(ratio, x) for x in target]:
+                raise TheoremViolation("shifted span is not permuted by "
+                                       "cosets")
+            rows[c2][c] = ratio
+        gens.append(Mat._new(field, rows))
+    return gens
 
 
 # Per-element references for the row kernels: each entry is built from

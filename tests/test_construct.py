@@ -1,6 +1,8 @@
 """The constructive pipeline: generic vectors, coset products, assembled
 occurrence certificates."""
 
+import pathlib
+
 import pytest
 
 import symmpow as sp
@@ -8,6 +10,10 @@ import symmpow.construct as construct
 from symmpow.cli import enc_certificate
 from symmpow.construct import (build_coset_products, check_independence,
                                find_generic_vector, is_generic_vector)
+
+from oracles import shifted_span_action
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 ALL_FLAGS = (
     "coset_powers_independent",
@@ -191,6 +197,25 @@ def test_periodicity_schedule(s3, monkeypatch):
     assert rep.periodicity == [True, True]
 
 
+def test_shifted_span_is_permuted_as_at_shift_zero(load_doc):
+    # assemble reads the span's coset permutation in degree m only, and
+    # checks each shift by its witnesses; rebuilt in Sym^(m + |G|), the
+    # span times C must be permuted exactly as the degree-m span is
+    for path in sorted(PROBLEMS.glob("*.json")):
+        group, v, modules = load_doc(path.stem)
+        if group.order > 60:          # the corpus constructs
+            continue
+        for (label, _), rep in zip(modules, sp.verify_theorem(v, modules)):
+            for cert in (rep.sub_claim, rep.quot_claim):
+                v_rep = sp.extend_scalars(v, cert.extension_degree)
+                _, _, span_rep = construct._span_action(
+                    {}, v_rep, cert.span_polys, cert.degree)
+                at_zero = shifted_span_action(cert, group, 0)
+                assert at_zero == span_rep.gens, (path.stem, label)
+                assert shifted_span_action(cert, group, 1) == at_zero, (
+                    path.stem, label)
+
+
 def _scale_first_generator(rep):
     field = rep.field
     first = sp.Mat(field, [[field.mul(2, x) for x in row]
@@ -199,12 +224,12 @@ def _scale_first_generator(rep):
 
 
 @pytest.mark.parametrize("fault, flag", [
-    # the shifted span is no longer permuted as the degree-5 span is
-    ("sym_power", "coset_permutation"),
+    # the embedding times C no longer intertwines the faulty Sym^11
+    ("sym_power", "embedding_witness"),
     # no quotient of Sym^11 onto the module is found
     ("hom_space", "quotient_exists"),
-    # the span times C (degree 11) vanishes, so it has rank 0, not 6
-    ("poly_mul", "span_dimension"),
+    # the embedding times C (degree 11) vanishes, so it has rank 0, not 1
+    ("poly_mul", "embedding_witness"),
 ])
 def test_fault_only_at_a_shift_is_caught(s3, monkeypatch, fault, flag):
     _, _, mods = s3

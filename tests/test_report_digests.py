@@ -6,11 +6,13 @@ stdout summary and the exit code of one corpus operation: ``check`` and
 of group order at most 60.  Two operations of the benchmark, on documents
 of ``bench/inputs.py`` in their shipped bases, are pinned the same way:
 they reach the deepest extension fields (GF(27) certificates and the
-GF(49) Molien oracle).  Two small documents written out below pin the
-construct paths that the corpus misses, where every splitting degree is
-1 over a prime field: a splitting degree of 2 (``c3_gf2``), and a group
-field with no generic vector, so that the certificate lands over a
-proper extension of a non-prime field (``s3_gf4``).  A refactor that is
+GF(49) Molien oracle).  Two constructs with ``--k-max 2`` (over GF(25)
+and GF(27)) run the shift loop twice: no report records a shift, but a
+failed one changes the exit code.  Two small documents written out below
+pin the construct paths that the corpus misses, where every splitting
+degree is 1 over a prime field: a splitting degree of 2 (``c3_gf2``), and
+a group field with no generic vector, so that the certificate lands over
+a proper extension of a non-prime field (``s3_gf4``).  A refactor that is
 meant to leave every answer alone must leave these digests alone.  After
 a deliberate change of output, print the new table with
 
@@ -118,6 +120,17 @@ BENCH_DIGESTS = {
 }
 
 
+# (command, document stem, flags): (report sha256, stdout sha256, exit code)
+SHIFT_DIGESTS = {
+    ("construct", "q8_gf5", ("--k-max", "2")): (
+        "54663a4099181ea8fbc2ce21972ab8aba06b35466861fa88b68e806a124b5c15",
+        "944317b574c985b2eb72507222e36fc0f4c25865e8dc032871e1368de4751944", 0),
+    ("construct", "sl2_3_gf3", ("--k-max", "2")): (
+        "f3b676d4d612770e688c5dbe8f1dce88e42d1cecf6913cc9fb5bfd1df2daa716",
+        "19401fc43c0ed818bd26801847a5f49578f607bc5a3b3e995a826632d69e81ca", 0),
+}
+
+
 _ONE, _ZERO = [1, 0], [0, 0]    # GF(4) coefficient lists
 _S3_GF4_GENS = [[[_ONE, _ONE], [_ZERO, _ONE]], [[_ZERO, _ONE], [_ONE, _ZERO]]]
 
@@ -219,6 +232,11 @@ def test_bench_report_bytes_are_pinned(command, stem, flags):
     assert run_digest(command, stem, flags) == BENCH_DIGESTS[command, stem, flags]
 
 
+@pytest.mark.parametrize("command,stem,flags", sorted(SHIFT_DIGESTS))
+def test_two_shift_report_bytes_are_pinned(command, stem, flags):
+    assert run_digest(command, stem, flags) == SHIFT_DIGESTS[command, stem, flags]
+
+
 if __name__ == "__main__":
     for op in corpus_operations():
         report, stdout, code = run_digest(*op)
@@ -230,7 +248,9 @@ if __name__ == "__main__":
             print(f'    ("{command}", "{stem}"): (\n        "{report}",\n'
                   f'        "{stdout}", {code}),')
     for op in (("construct", "gl2_3_gf3_defining", ("--k-max", "0")),
-               ("scan", "b3_gf7", ("--m-max", "8", "--molien", "on"))):
+               ("scan", "b3_gf7", ("--m-max", "8", "--molien", "on")),
+               ("construct", "q8_gf5", ("--k-max", "2")),
+               ("construct", "sl2_3_gf3", ("--k-max", "2"))):
         report, stdout, code = run_digest(*op)
         print(f'    {op!r}: (\n        "{report}",\n'
               f'        "{stdout}", {code}),')

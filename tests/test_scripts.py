@@ -1,7 +1,9 @@
-"""The scripts under scripts/ still run against the public API."""
+"""The scripts under scripts/ and README's library example still run
+against the public API."""
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -30,3 +32,9 @@ def test_collect_minima_writes_its_csv(tmp_path, capsys, monkeypatch):
         "sl2,3,1,24,2,sym2,3,2,2,24,4",
     ]
     assert capsys.readouterr().out == f"8 rows written to {out}\n"
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    [example] = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
