@@ -472,6 +472,15 @@ def mult_order(field: FieldSpec, a: int) -> int:
     return d
 
 
+def root_of_unity(field: FieldSpec, d: int) -> int:
+    """The first y^((q - 1)/d), y = 1, 2, ..., of order exactly d, d | q - 1:
+    as x^d = 1, x has order d iff x^(d/r) != 1 for every prime r | d."""
+    cofactors = [d // r for r in _prime_factors(d)]
+    return next(x for x in (field.pow(y, (field.q - 1) // d)
+                            for y in range(1, field.q))
+                if all(field.pow(x, c) != 1 for c in cofactors))
+
+
 def discrete_log(field: FieldSpec, base: int, target: int, order: int) -> int:
     """Least t >= 0 with base^t == target, scanning t < order."""
     x = 1

@@ -8,9 +8,10 @@ of nv unknowns for its image, so reducible sources work too.  Spin vector
 b_i has image T_i y, y in a candidate space K.  A new vector a b_j gets
 b T_j; a dependent one, a b_j = sum c_i b_i, cuts K to the null space of
 b T_j - sum c_i T_i.  Each y in K gives X = [T_i y] B^-1, B = [b_i].  A
-larger source is solved through the transposed pairs.  Reps in eigenbases
-of one h (Rep.eigen) have X commuting with h, so seed e_s opens only the
-target coordinates of its eigenvalue; seeds run smallest block first.
+larger source is solved through the transposed pairs.  Reps labelled in
+joint eigenbases of one h and z (Rep.eigen) have X commuting with both,
+so seed e_s opens only the target coordinates of its label pair, seeds
+run smallest block first, and X = 0 when no source label is a target's.
 
 The basis is canonical: the homs flattened row-major, in reduced echelon
 form with the columns taken right to left, ordered by pivot column.  It
@@ -61,7 +62,7 @@ def _spin(field, pairs, nu: int, nv: int, labels=None) -> list[Mat]:
             continue
         # M, the span so far, is a submodule, the sum of its parts in each
         # eigenspace, so seed, the one vector of e_s + M that is 0 at M's
-        # pivots, keeps e_s's eigenvalue, and X maps it into its block
+        # pivots, keeps e_s's label, and X maps it into its block
         block = blocks.get(src[s], [])
         ts = [t + pack([[0] * nv] * len(block)) for t in ts]
         adjoin(seed, pack([[0] * nv] * k + [[int(i == c) for i in range(nv)]
@@ -118,5 +119,7 @@ def hom_space(u: Rep, v: Rep) -> list[Mat]:
     if u.field != v.field:
         raise ValueError("representations must share a field")
     same = u.eigen and v.eigen and u.eigen[0] == v.eigen[0]
+    if same and set(u.eigen[1]).isdisjoint(v.eigen[1]):
+        return []
     return hom_basis_from_pairs(u.field, list(zip(u.gens, v.gens)), u.dim,
                                 v.dim, same and (u.eigen[1], v.eigen[1]))

@@ -126,7 +126,7 @@ def _kernel_lines(field, kernel_vectors):
     return lines
 
 
-def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> SplitResult:
+def is_irreducible(r: Rep, seed: int = 0) -> SplitResult:
     """Norton/Parker test; raises MeataxeInconclusive after the draw budget."""
     if r.dim < 1:
         raise ValueError("empty module")
@@ -136,7 +136,7 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
     rng = Lcg(seed)
     gens, field = r.gens, r.field
     dual_gens = None
-    for draw in range(1, budget + 1):
+    for draw in range(1, _DEFAULT_BUDGET + 1):
         theta, recipe = _random_theta(rng, r, gens)
         kernel = null_space(theta)
         if not kernel:
@@ -164,8 +164,8 @@ def is_irreducible(r: Rep, seed: int = 0, budget: int = _DEFAULT_BUDGET) -> Spli
         return SplitResult("split", sub_rep=_restrict(r, ann_rows),
                            draws=draw, certificate=cert)
     raise MeataxeInconclusive(
-        f"no verdict after {budget} draws (seed {seed}); raise the budget "
-        "or vary the seed")
+        f"no verdict after {_DEFAULT_BUDGET} draws (seed {seed}); vary the "
+        "seed")
 
 
 def _restrict(r: Rep, rows_mat: Mat) -> Rep:

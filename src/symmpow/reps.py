@@ -145,8 +145,9 @@ class Rep:
     matrices.  A mismatch raises NotARepresentation.  Generators determine
     the whole action, so stability and intertwining checks run on
     ``gens``; ``images`` is for the arguments that are per-element by
-    nature.  ``eigen`` is None, or (h, labels) for images written in an
-    eigenbasis of h's image, labels[i] the eigenvalue of coordinate i.
+    nature.  ``eigen`` is None, or (h, labels) for images written in a
+    joint eigenbasis of the images of h and of the scalar generator z,
+    labels[i] the pair of their eigenvalues on coordinate i.
     """
 
     __slots__ = ("group", "field", "dim", "gens", "eigen", "_images")
@@ -304,14 +305,16 @@ def sym_power(v: Rep, m: int) -> Rep:
 
 def sym_powers(v: Rep, m_max: int):
     """Yield Sym^1(v), ..., Sym^m_max(v), each degree built from the one
-    before, the only one kept; x^alpha gets eigen label prod lam_i^alpha_i."""
+    before, the only one kept; x^alpha gets the eigen label prod
+    lam_i^alpha_i, lam_i the label of x_i, multiplied part by part."""
     gens = [identity(v.field, 1)] * len(v.gens)
+    mul, pw = v.field.mul, v.field.pow
     for m in range(1, m_max + 1):
         basis = monomial_basis(v.dim, m)
         gens = [_sym_image(g, basis, prev) for g, prev in zip(v.gens, gens)]
-        yield Rep(v.group, gens, v.eigen and (v.eigen[0], [
-            reduce(v.field.mul, map(v.field.pow, v.eigen[1], a), 1)
-            for a in basis.exponents]))
+        yield Rep(v.group, gens, v.eigen and (v.eigen[0], list(zip(*(
+            [reduce(mul, map(pw, lams, a), 1) for a in basis.exponents]
+            for lams in zip(*v.eigen[1]))))))
 
 
 def dual_rep(r: Rep) -> Rep:

@@ -2,18 +2,17 @@
 
 occurrence_tables brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
 for m = 1..m_max from generator images of Sym^m V alone, two spins of W
-per degree (see homs).  When the scalar generator z acts on V as mu (lam
-on the defining module), it acts on Sym^m V as mu^m, and a hom X from W
-has X W(z) = mu^m X (one to W, W(z) X = mu^m X): a degree whose mu^m is no
-eigenvalue of W(z) gets the row (m, 0, 0) with no solve.  The others are
-solved in an eigenbasis of one h in G of order dividing q - 1, diagonal
-on V and each W over F, which leaves hom dimensions alone: there every
-monomial of Sym^m V is an eigenvector, and a seed of W opens only the
-Sym^m coordinates of its eigenvalue.  One degree loop serves all modules:
-sym_powers builds each Sym^m V once, from the one before, and keeps no
-other; occurrence_scan is the one-module case.  verify_theorem scans a
-document's irreducible modules in one scan_modules call, as the scan
-command does; a certified degree beyond the scan is built by sym_power.
+per degree (see homs), by one rule: V and each W are written in a joint
+eigenbasis of the scalar generator z and one h in G of order dividing
+q - 1 (the identity when no h helps), each coordinate labelled by its
+(h, z) eigenvalue pair.  Every monomial of Sym^m V is then labelled too,
+and a hom keeps labels: a seed of W opens only the Sym^m coordinates of
+its label, and a degree where no label of W occurs in Sym^m V is (m, 0, 0)
+with no solve.  One degree loop serves all modules: sym_powers builds each
+Sym^m V once, from the one before; occurrence_scan is the one-module case.
+verify_theorem scans a document's irreducible modules in one scan_modules
+call, as the scan command does; a certified degree beyond the scan is
+built by sym_power.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -36,13 +35,14 @@ constant divisible by |G|; the quotient is the exact integer multiplicity.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
-from .fields import _prime_factors, extend_field, mult_order
-from .groups import conjugacy_classes, scalar_of
+from .fields import extend_field, mult_order, root_of_unity
+from .groups import conjugacy_classes
 from .homs import hom_space
 from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
@@ -65,71 +65,61 @@ def _scan_one(sym: Rep, w: Rep, m: int):
 
 
 def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
-    """r as P^-1 r(g) P, the columns of P eigenvectors of r(h) in order of
-    their eigenvalues omega^t, t < d = ord(h), and labelled by them."""
-    field, cols, lams = r.field, [], []
-    for t in range(d):
-        x = field.pow(omega, t)
+    """r as P^-1 r(g) P, the columns of P joint eigenvectors of r(h) and
+    r(z) in order of their eigenvalue pairs (omega^t, zeta^s), t < d =
+    ord(h), s < |Z|, zeta = root_of_unity(|Z|), and labelled by them."""
+    field, group, cols, labels = r.field, r.group, [], []
+    n = group.center_order
+    zeta = root_of_unity(field, n)
+    hz = (r.images[h].rows, r.images[group.z_generator_index].rows)
+    for pair in product([field.pow(omega, t) for t in range(d)],
+                        [field.pow(zeta, s) for s in range(n)]):
         cols += (vecs := null_space(Mat._new(field, [
             [field.sub(a, x) if i == j else a for j, a in enumerate(row)]
-            for i, row in enumerate(r.images[h].rows)])))
-        lams += [x] * len(vecs)
+            for rows, x in zip(hz, pair) for i, row in enumerate(rows)])))
+        labels += [pair] * len(vecs)
     p_inv = mat_inv(p := transpose(Mat._new(field, cols)))
-    return Rep(r.group, [mat_mul(mat_mul(p_inv, g), p) for g in r.gens],
-               (h, lams))
+    return Rep(group, [mat_mul(mat_mul(p_inv, g), p) for g in r.gens],
+               (h, labels))
 
 
 def _eigen_element(v: Rep):
-    """(h, omega, d), omega of order d = ord(h) | q - 1, for the least class
-    representative h with the most eigenvalues on Sym^m V, the order of the
-    group the ratios of V(h)'s generate; None when that is always 1."""
+    """(h, omega, d), omega = root_of_unity(d), d = ord(h) | q - 1, for the
+    least class representative h with the most eigenvalues on Sym^m V,
+    the order of the group the ratios of V(h)'s generate; the identity
+    (0, 1, 1) when that is always 1."""
     group, field = v.group, v.field
-    best, most = None, 1
-    for h, _ in conjugacy_classes(group):
-        d = group.element_order(h)
-        if (field.q - 1) % d == 0:
-            omega = next(x for x in (field.pow(y, (field.q - 1) // d)
-                                     for y in range(1, field.q))
-                         if mult_order(field, x) == d)
-            lams = _in_eigenbasis(v, h, omega, d).eigen[1]
-            count = lcm(*(mult_order(field, field.mul(x, field.inv(lams[0])))
-                          for x in lams))
-            if count > most:
-                best, most = (h, omega, d), count
-    return best
+
+    def ratios(eigen):
+        lams = [x for x, _ in _in_eigenbasis(v, *eigen).eigen[1]]
+        return lcm(*(mult_order(field, field.mul(x, field.inv(lams[0])))
+                     for x in lams))
+    orders = [(h, group.element_order(h)) for h, _ in conjugacy_classes(group)]
+    return max(((h, root_of_unity(field, d), d) for h, d in orders
+                if (field.q - 1) % d == 0), key=ratios)
 
 
 def occurrence_tables(v: Rep, ws, m_max: int | None = None,
                       cap_dim: int = DEFAULT_DIM_CAP) -> list:
     """Per module in ws, hom dimensions both ways up to m_max, on one
-    Sym^m(v) per degree.  A degree whose mu^m (m mod |Z|) is no eigenvalue
-    of W(z) gets zeros unsolved: X W(z) = mu^m X forces X = 0."""
-    group, field = v.group, v.field
-    z, n = group.z_generator_index, group.center_order
-    mu = scalar_of(v.images[z])
-    quiets = []
-    for w in ws:
-        if w.group is not group:
-            raise ValueError("representations must share a group")
-        if w.field != field:
-            raise ValueError("representations must share a field")
-        wz = w.images[z].rows
-        quiets.append([mu is not None and w.dim == rank(Mat._new(field, [
-            [field.sub(x, field.pow(mu, r)) if i == j else x
-             for j, x in enumerate(row)] for i, row in enumerate(wz)]))
-            for r in range(n)])
+    Sym^m(v) per degree, every solve in the joint (h, z) eigenbasis of
+    _eigen_element(v): a degree where no label of W occurs in Sym^m gets
+    zeros unsolved (see hom_space)."""
+    group = v.group
+    if any(w.group is not group for w in ws):
+        raise ValueError("representations must share a group")
+    if any(w.field != v.field for w in ws):
+        raise ValueError("representations must share a field")
     m_max = group.order if m_max is None else m_max
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     check_sym_dim(v.dim, m_max, cap_dim)
-    if eigen := _eigen_element(v):
-        v, *ws = [_in_eigenbasis(r, *eigen) for r in (v, *ws)]
-    rows = [[] for _ in ws]
-    for m, sym in enumerate(sym_powers(v, m_max), 1):
-        for w, quiet, out in zip(ws, quiets, rows):
-            out.append((m, 0, 0) if quiet[m % n] else _scan_one(sym, w, m))
+    eigen = _eigen_element(v)
+    v, *ws = [_in_eigenbasis(r, *eigen) for r in (v, *ws)]
+    rows = zip(*([_scan_one(sym, w, m) for w in ws]  # a row per module
+                 for m, sym in enumerate(sym_powers(v, m_max), 1)))
     return [OccurrenceTable(
-        rows=r, minimal_sub_m=next((m for m, s, _ in r if s > 0), None),
+        rows=list(r), minimal_sub_m=next((m for m, s, _ in r if s > 0), None),
         minimal_quot_m=next((m for m, _, qd in r if qd > 0), None),
         bound=group.order) for r in rows]
 
@@ -174,12 +164,10 @@ def molien_table(v: Rep, w: Rep, m_max: int):
         raise ValueError("modules must share a group")
     if v.field != w.field:
         raise ValueError("modules must share a field")
-    group = v.group
-    base = v.field
-    if group.order % base.p == 0:
+    group, base, order = v.group, v.field, v.group.order
+    if order % base.p == 0:
         raise ValueError("characteristic divides the group order; "
                          "the character oracle does not apply")
-    order = group.order
     classes = conjugacy_classes(group)
     orders = [group.element_order(g) for g, _ in classes]
     L = lcm(*orders)
@@ -187,12 +175,7 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     while pow(base.q, e, L) != 1 % L:
         e += 1
     ext, table = extend_field(base, e)
-    # the first y^((q^e - 1)/L), y = 1, 2, ..., of order exactly L: it
-    # has x^L = 1, so its order is L iff x^(L/r) != 1 for every prime r | L
-    cofactors = [L // r for r in _prime_factors(L)]
-    omega = next(x for x in (ext.pow(y, (ext.q - 1) // L)
-                             for y in range(1, ext.q))
-                 if all(ext.pow(x, d) != 1 for d in cofactors))
+    omega = root_of_unity(ext, L)
 
     def eigen_exponents(m: Mat, d: int):
         """Exponents t with eigenvalue omega^t, with multiplicity."""

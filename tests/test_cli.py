@@ -280,7 +280,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_inconclusive_exits_5(tmp_path, capsys, monkeypatch):
-    def fake(rep, seed=0, budget=64):
+    def fake(rep, seed=0):
         raise MeataxeInconclusive("no verdict after 0 draws")
     monkeypatch.setattr(cli, "is_irreducible", fake)
     path = write_doc(tmp_path, S3_DOC)
@@ -358,10 +358,10 @@ def test_irreducibility_verdicts_come_before_any_certificate(capsys,
     assert raised == ["CapExceeded"]
     real = scan.is_irreducible
 
-    def inconclusive_standard(rep, seed=0, budget=64):
+    def inconclusive_standard(rep, seed=0):
         if rep.dim == 2:    # "standard", the last module
             raise MeataxeInconclusive("no verdict after 0 draws")
-        return real(rep, seed, budget)
+        return real(rep, seed)
     monkeypatch.setattr(scan, "is_irreducible", inconclusive_standard)
     assert run(argv) == 5
     assert raised == ["CapExceeded"]    # no certificate was attempted
@@ -414,7 +414,7 @@ def test_missing_base_occurrence_is_a_violation(tmp_path, capsys,
 
 
 def test_unexpected_exception_exits_7(tmp_path, capsys, monkeypatch):
-    def fake(rep, seed=0, budget=64):
+    def fake(rep, seed=0):
         raise RuntimeError("synthetic")
     monkeypatch.setattr(cli, "is_irreducible", fake)
     path = write_doc(tmp_path, S3_DOC)

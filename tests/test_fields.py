@@ -7,7 +7,7 @@ import random
 import pytest
 
 import symmpow as sp
-from symmpow.fields import field_embedding
+from symmpow.fields import field_embedding, root_of_unity
 
 
 def naive_poly_rem(a, b, p):
@@ -97,6 +97,18 @@ def test_mult_order_and_discrete_log():
     g = next(a for a in range(2, 9) if sp.mult_order(F9, a) == 8)
     for t in range(8):
         assert sp.discrete_log(F9, g, F9.pow(g, t), 8) == t
+
+
+def test_root_of_unity_is_the_first_power_of_exact_order():
+    # the rule the scan's eigenbasis and the Molien oracle both rely on:
+    # the first y^((q-1)/d) whose order, walked by mult_order, is d
+    for p, f in ((2, 1), (7, 1), (13, 1), (2, 4), (3, 3), (5, 2)):
+        F = sp.make_field(p, f)
+        for d in (d for d in range(1, F.q) if (F.q - 1) % d == 0):
+            first = next(x for x in (F.pow(y, (F.q - 1) // d)
+                                     for y in range(1, F.q))
+                         if sp.mult_order(F, x) == d)
+            assert root_of_unity(F, d) == first, (p, f, d)
 
 
 def test_extension_towers_are_canonical():

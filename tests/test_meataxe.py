@@ -60,13 +60,15 @@ def test_indecomposable_but_reducible_splits():
     assert [x.rows[0][0], x.rows[1][0]] == [1, 0]
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     F = sp.make_field(7)
     group = sp.build_group([sp.Mat(F, [[0, 1], [1, 0]]),
                             sp.Mat(F, [[0, 6], [1, 6]])])
     rep = sp.defining_rep(group)
-    with pytest.raises(sp.MeataxeInconclusive):
-        sp.is_irreducible(rep, seed=0, budget=0)
+    monkeypatch.setattr(sp.meataxe, "_DEFAULT_BUDGET", 0)
+    with pytest.raises(sp.MeataxeInconclusive,
+                       match=r"^no verdict after 0 draws \(seed 0\); vary"):
+        sp.is_irreducible(rep, seed=0)
 
 
 def test_seed_changes_nothing_about_verdicts(s3, s3_perm, q8):

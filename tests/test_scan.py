@@ -166,32 +166,34 @@ def test_molien_options_flow(s3):
 
 
 # ---------------------------------------------------------------------------
-# the central-character filter: degrees whose power of z's scalar is no
-# eigenvalue of W(z) are answered (m, 0, 0) without a solve
+# the label shortcut: a degree where no (h, z) label of W occurs in Sym^m
+# is answered (m, 0, 0) with no spin; the scalar z = lam on V acts on
+# Sym^m as lam^m, so this skips what a central-character filter would
 
 def _unfiltered_rows(v, w, m_max):
     return [sp.scan._scan_one(sym, w, m)
             for m, sym in enumerate(sp.sym_powers(v, m_max), 1)]
 
 
-def _solved_degrees(monkeypatch, v, w, m_max):
-    """The scan's rows, the degrees it solved and its hom_space calls."""
-    solved, calls = [], []
-    scan_one, hom_space = sp.scan._scan_one, sp.scan.hom_space
+def _spun_degrees(monkeypatch, v, w, m_max):
+    """The scan's rows, and the degree and labels of each of its spins."""
+    degree, spins = [], []
+    scan_one, spin = sp.scan._scan_one, sp.homs._spin
 
-    def counting_scan_one(sym, w, m):
-        solved.append(m)
+    def numbered(sym, w, m):
+        degree[:] = [m]
         return scan_one(sym, w, m)
 
-    def counting_hom_space(a, b):
-        calls.append(1)
-        return hom_space(a, b)
+    def counting(field, pairs, nu, nv, labels=None):
+        spins.append((degree[0], labels))
+        return spin(field, pairs, nu, nv, labels)
 
-    monkeypatch.setattr(sp.scan, "_scan_one", counting_scan_one)
-    monkeypatch.setattr(sp.scan, "hom_space", counting_hom_space)
+    monkeypatch.setattr(sp.scan, "_scan_one", numbered)
+    monkeypatch.setattr(sp.homs, "_spin", counting)
     rows = sp.occurrence_scan(v, w, m_max=m_max).rows
     monkeypatch.undo()
-    return rows, solved, len(calls)
+    assert all(labels for _, labels in spins)
+    return rows, [m for m, _ in spins]
 
 
 def test_scan_validates_modules_before_skipping(fresh_case):
@@ -213,9 +215,10 @@ def test_filter_skips_silent_residues_of_a_reducible_module(
     assert (group.lam, group.center_order) == (2, 4)
     # W(z) = diag(1, 2) = diag(lam^0, lam^1) is not scalar
     w = sp.paired_rep(group, [sp.Mat(group.field, [[1, 0], [0, 2]])])
-    rows, solved, calls = _solved_degrees(monkeypatch, v, w, 12)
-    assert solved == [m for m in range(1, 13) if m % 4 in (0, 1)]
-    assert calls == 2 * len(solved)
+    rows, spun = _spun_degrees(monkeypatch, v, w, 12)
+    # two spins, one each way, at each degree with a shared label
+    assert spun == [m for m in range(1, 13) if m % 4 in (0, 1)
+                    for _ in range(2)]
     assert rows == _unfiltered_rows(v, w, 12)
     assert [m for m, s, q in rows if s] == [1, 4, 5, 8, 9, 12]
 
@@ -223,10 +226,25 @@ def test_filter_skips_silent_residues_of_a_reducible_module(
 def test_filter_skips_even_degrees_on_q8(monkeypatch, q8):
     group, v, mods = q8
     # z = -1 acts on the defining module as -1 = lam and on Sym^m as (-1)^m
-    rows, solved, calls = _solved_degrees(monkeypatch, v, mods["defining"], 8)
-    assert solved == [1, 3, 5, 7]
-    assert calls == 8
+    rows, spun = _spun_degrees(monkeypatch, v, mods["defining"], 8)
+    assert spun == [1, 1, 3, 3, 5, 5, 7, 7]
     assert rows == _unfiltered_rows(v, mods["defining"], 8)
+
+
+def test_scan_with_a_non_scalar_z_matches_the_unlabelled_scan(q8):
+    group, v, mods = q8
+    # V = defining + chi_i, where z acts as diag(-1, -1, 1)
+    gens = [sp.Mat(group.field, [list(row) + [0] for row in d.rows]
+                   + [[0, 0, c.rows[0][0]]])
+            for d, c in zip(v.gens, mods["chi_i"].gens)]
+    v3 = sp.paired_rep(group, gens)
+    z = v3.images[group.z_generator_index]
+    assert z.rows == [[4, 0, 0], [0, 4, 0], [0, 0, 1]]
+    ws = list(mods.values())
+    tables = sp.occurrence_tables(v3, ws, 8)
+    for w, table in zip(ws, tables):
+        assert table.rows == _unfiltered_rows(v3, w, 8)
+    assert all(any(s for _, s, _ in t.rows) for t in tables)
 
 
 def test_filter_matches_unfiltered_scan_over_the_corpus():
@@ -334,18 +352,20 @@ def test_molien_by_classes_over_an_extension(load_doc):
 
 
 # ---------------------------------------------------------------------------
-# the eigenbasis path: the scan conjugates V and every W by eigenvectors of
-# one semisimple h, and each seed of a hom solve opens only the Sym^m
-# coordinates of its own h-eigenvalue
+# the eigenbasis: the scan conjugates V and every W by joint eigenvectors
+# of one semisimple h and the scalar generator z, and each seed of a hom
+# solve opens only the Sym^m coordinates of its own (h, z) label
 
 EIGEN_DOCS = [p.stem for p in sorted(PROBLEMS.glob("*.json"))] + [
     "b3_gf7", "gl2_3_gf3_defining"]
 
-# (order of h, eigenvalues of h on Sym^m) for the h the scan picks
+# (order of h, labels on Sym^6) for the h the scan picks; z is scalar on
+# each V, so the labels on Sym^6 are as many as h's eigenvalues there,
+# and h is the identity where no element has more than one
 EIGEN_ELEMENTS = {"sl2_5_gf5": (4, 2), "q8_gf5": (4, 2), "b3_gf7": (3, 3),
                   "s3_gf7": (3, 3), "gl2_3_gf3_defining": (2, 2),
-                  "sl2_3_gf3": None, "sl2_2_gf2": None, "c3_gf7": None,
-                  "c4_gf5": None, "c6_gf7": None}
+                  "sl2_3_gf3": (1, 1), "sl2_2_gf2": (1, 1), "c3_gf7": (1, 1),
+                  "c4_gf5": (1, 1), "c6_gf7": (1, 1)}
 
 
 def _eigenvalue_ratio_order(v, g):
@@ -362,9 +382,9 @@ def _eigenvalue_ratio_order(v, g):
 
 
 def _labelled(v, ws):
-    """v and ws conjugated into the scan's eigenbasis, or None."""
+    """v and ws conjugated into the scan's eigenbasis."""
     eigen = sp.scan._eigen_element(v)
-    return eigen and [sp.scan._in_eigenbasis(r, *eigen) for r in (v, *ws)]
+    return [sp.scan._in_eigenbasis(r, *eigen) for r in (v, *ws)]
 
 
 def test_eigen_element_has_the_most_eigenvalues_on_sym(load_doc):
@@ -375,21 +395,20 @@ def test_eigen_element_has_the_most_eigenvalues_on_sym(load_doc):
                   for g, _ in sp.groups.conjugacy_classes(group)
                   if (q - 1) % group.element_order(g) == 0]
         most = max(c for c, _ in counts)
-        eigen = sp.scan._eigen_element(v)
-        if expected is None:
-            assert most == 1 and eigen is None, name
-            continue
-        h, omega, d = eigen
+        h, omega, d = eigen = sp.scan._eigen_element(v)
+        assert (most == 1) == (eigen == (0, 1, 1)), name  # the identity
         assert h == min(g for c, g in counts if c == most), name
         assert d == group.element_order(h) and sp.mult_order(
             v.field, omega) == d, name
         lv, = _labelled(v, [])
         sym = list(sp.sym_powers(lv, 6))[-1]
         assert (d, len(set(sym.eigen[1]))) == expected, name
-        # h's image is diagonal in the new basis, with the labels on it
-        assert lv.images[h].rows == [
-            [lam if i == j else 0 for j in range(v.dim)]
-            for i, lam in enumerate(lv.eigen[1])], name
+        # the images of h and z are diagonal in the new basis, with the
+        # two parts of the labels on them
+        for g, k in ((h, 0), (group.z_generator_index, 1)):
+            assert lv.images[g].rows == [
+                [lam[k] if i == j else 0 for j in range(v.dim)]
+                for i, lam in enumerate(lv.eigen[1])], name
         assert lv.eigen[0] == h
 
 
@@ -404,12 +423,9 @@ def test_eigenbasis_solves_match_plain_solves_in_dense_bases(load_doc):
             tables = sp.occurrence_tables(v, ws, m_max)
             assert [t.rows for t in tables] == [list(r) for r in
                                                 zip(*plain)], name
-            labelled = _labelled(v, ws)
-            if labelled is None:
-                continue
-            lv, *lws = labelled
+            lv, *lws = _labelled(v, ws)
             for m, sym in enumerate(sp.sym_powers(lv, m_max), 1):
-                # every degree, also those the central filter answers
+                # every degree, also those the label shortcut answers
                 assert [sp.scan._scan_one(sym, w, m) for w in lws] == \
                     plain[m - 1], (name, seed, m)
 
@@ -457,7 +473,7 @@ def test_first_seed_opens_half_of_sym_on_sl2_5(monkeypatch, load_doc):
         lv, lw = _labelled(v, [w])
         for m, (sym, lsym) in enumerate(zip(sp.sym_powers(v, 9),
                                             sp.sym_powers(lv, 9)), 1):
-            if m not in degrees:  # the degrees the filter leaves
+            if m not in degrees:  # the degrees with a shared label
                 continue
             assert _first_block(monkeypatch, w, sym) == m + 1
             # smallest block first: at even m, m // 2 of m // 2 + 1
@@ -469,11 +485,15 @@ def test_first_seed_opens_half_of_sym_on_sl2_5(monkeypatch, load_doc):
         assert all(labels is not None for *_, labels in calls)
 
 
-def test_scans_without_an_eligible_element_are_unlabelled(monkeypatch,
-                                                          load_doc):
-    for name in ("sl2_3_gf3", "sl2_2_gf2"):
+def test_scans_without_an_eligible_element_are_labelled_by_z_alone(
+        monkeypatch, load_doc):
+    for name, zs in (("sl2_3_gf3", {1, 2}), ("sl2_2_gf2", {1})):
         _, v, modules = load_doc(name)
-        assert sp.scan._eigen_element(v) is None
+        assert sp.scan._eigen_element(v) == (0, 1, 1)
         for _, w in modules:
             calls = _spin_labels(monkeypatch, v, w, 6)
-            assert calls and all(labels is None for *_, labels in calls)
+            assert calls, (name, w.dim)
+            for *_, (src, dst) in calls:
+                # h = 1 labels every coordinate 1; z parts are z's scalars
+                assert {x for x, _ in src + dst} == {1}
+                assert {y for _, y in src + dst} <= zs
