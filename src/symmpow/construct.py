@@ -49,7 +49,7 @@ from .linalg import Mat, mat_mul, mat_vec, rank, transpose
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
                    extend_scalars, induced_from_center, poly_from_vector,
                    poly_mul, poly_one, poly_pow, restrict_scalar_character,
-                   sym_power, PolyVec)
+                   sym_power, word_images, PolyVec)
 
 _MAX_EXTENSION_SWEEP = 64
 
@@ -253,7 +253,10 @@ def assemble(w: Rep, k_max: int = 0,
 
     sym_rep, span, span_rep = _span_action(flags, v_rep, span_polys, m)
     n_span = len(span_polys)
-    span_images = span_rep.images
+    # the generators define a representation when phi below intertwines
+    # them with the induced one, so z and the transversal are all it reads
+    span_images = word_images(span_rep, [group.z_generator_index,
+                                         *group.transversal])
 
     lam_ext = field_embedding(group.field, field)[group.lam]
     _require(flags, "center_character", scalar_of(

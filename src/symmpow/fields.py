@@ -130,13 +130,14 @@ class FieldSpec:
     operations, ``row_sub`` and ``row_comb`` the row kernels;
     ``coeffs``/``element`` convert between int codes and coefficient
     vectors.  Up to 256 elements, ``add_table[a][b]`` is a + b and
-    ``mul_table[a][b]`` a * b, one ``bytes`` row per a (None otherwise).
+    ``mul_table[a][b]`` a * b, one ``bytes`` row per a (None otherwise),
+    and ``to_json`` reads each coefficient vector from a table.
     """
 
     __slots__ = (
         "p", "f", "q", "modulus",
         "add", "sub", "neg", "mul", "inv", "pow", "row_sub", "row_comb",
-        "add_table", "mul_table", "_exp", "_log",
+        "add_table", "mul_table", "_exp", "_log", "_vectors",
     )
 
     def __init__(self, p: int, f: int, modulus):
@@ -145,6 +146,7 @@ class FieldSpec:
         self.q = p ** f
         self.modulus = tuple(modulus)
         self._exp = self._log = self.add_table = self.mul_table = None
+        self._vectors = None
         if f == 1:
             self._setup_prime()
             return
@@ -359,6 +361,9 @@ class FieldSpec:
                 logs.translate(bytes(exp2[la:la + qm1]) + bytes(257 - q))
                 for la in log[1:]]
             self.add_table = [bytes(row) for row in _digit_sums(p, q)]
+            # coefficient vectors in code order: the lowest varies fastest
+            self._vectors = [v[::-1] for v in itertools.product(
+                range(p), repeat=self.f)]
 
     # element codecs -------------------------------------------------------
 
@@ -383,7 +388,9 @@ class FieldSpec:
     def to_json(self, a: int):
         """Element a as reports write it: the int itself over a prime field,
         its coefficient vector over an extension."""
-        return a if self.f == 1 else self._raw_coeffs(a)
+        if self.f == 1:
+            return a
+        return list(self._vectors[a]) if self._vectors else self._raw_coeffs(a)
 
     def from_json(self, obj) -> int:
         """The element that to_json writes as obj; ValueError otherwise."""

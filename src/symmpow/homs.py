@@ -13,6 +13,12 @@ joint eigenbases of one h and z (Rep.eigen) have X commuting with both,
 so seed e_s opens only the target coordinates of its label pair, seeds
 run smallest block first, and X = 0 when no source label is a target's.
 
+Over GF(p) the T_i stay in linalg's packed row form from seed to cut: a
+seed's T is f E_block, written as packed unit rows, and its first images
+are f times rows of the packed b^T, until a cut combines them.  K's
+dimension is the hom space's, so hom_dim stops at the cut space; only
+hom_space builds X = [T_i y] B^-1 for a basis of K.
+
 The basis is canonical: the homs flattened row-major, in reduced echelon
 form with the columns taken right to left, ordered by pivot column.  It
 is null_space's basis of the equations in the entries of X, so reports,
@@ -21,21 +27,23 @@ which serialize basis elements, do not depend on the solver.
 
 from __future__ import annotations
 
-from .linalg import (Mat, _eliminate, _row_ops, identity, mat_inv, mat_mul,
-                     mat_vec, rref, transpose)
+from .linalg import (Mat, _eliminate, _row_ops, mat_inv, mat_mul, mat_vec,
+                     rref, transpose)
 from .reps import Rep
 
 
-def _spin(field, pairs, nu: int, nv: int, labels=None) -> list[Mat]:
-    """Transposes of a basis of the nv x nu X with X a = b X for all
-    (a, transpose(b)) in pairs.  T_i is kept as its k columns, rows of
-    linalg's row form: an image b T_j combines nv rows and reduce updates
+def _spin(field, pairs, nu: int, nv: int, labels=None):
+    """The cut space of the nv x nu X with X a = b X for all
+    (a, transpose(b)) in pairs: (k, B, ts), k its dimension, B the rows
+    b_i and ts[i] T_i, kept as its k columns, rows of linalg's row form
+    from seed to cut.  An image b T_j combines nv rows and reduce updates
     it at most nu times, so its slots never need renormalizing.  Seed s
     opens the target coordinates whose label (in labels[1]) is s's."""
     ops = _row_ops(field, nv + nu, nv)
-    pack, unpack, _, sub, scale, combs, _ = ops
-    row_sub, mul = field.row_sub, field.mul
-    pairs = [(a, pack(bt.rows)) for a, bt in pairs]
+    pack, unpack, _, sub, scale, combs, _, _, unit, cat = ops
+    row_sub, mul, neg, zero = field.row_sub, field.mul, field.neg, ops.zero(nv)
+    packed = [(a, pack(bt.rows)) for a, bt in pairs]
+    pairs = [(a, bt, combs(bt)) for a, bt in packed]  # a, b^T, T -> b T
     ech, ts = [], []  # spin vectors in semi-echelon form (pivot, row); T_i
     k = 0
 
@@ -47,11 +55,11 @@ def _spin(field, pairs, nu: int, nv: int, labels=None) -> list[Mat]:
                 cols = [sub(c, f, q, 0) for c, q in zip(cols, t)]
         return w, cols
 
-    def adjoin(w, cols):
+    def adjoin(w):  # the scale that takes w's pivot to 1
         p = next(i for i, x in enumerate(w) if x)
         f = field.inv(w[p])
         ech.append((p, [mul(f, x) for x in w]))
-        ts.append(scale(cols, f, nv))
+        return f
 
     src, dst = labels or ([0] * nu, [0] * nv)
     blocks = {x: [c for c, y in enumerate(dst) if y == x] for x in set(dst)}
@@ -64,62 +72,93 @@ def _spin(field, pairs, nu: int, nv: int, labels=None) -> list[Mat]:
         # eigenspace, so seed, the one vector of e_s + M that is 0 at M's
         # pivots, keeps e_s's label, and X maps it into its block
         block = blocks.get(src[s], [])
-        ts = [t + pack([[0] * nv] * len(block)) for t in ts]
-        adjoin(seed, pack([[0] * nv] * k + [[int(i == c) for i in range(nv)]
-                                            for c in block]))
+        ts = [t + [zero] * len(block) for t in ts]
+        f = adjoin(seed)
+        ts.append([zero] * k + [unit(c, f, nv) for c in block])
         k += len(block)
+        fresh = j  # T_j is f E_block until the next cut
         while j < len(ech):
-            for a, bt in pairs:
+            for a, bt, comb in pairs:
                 # the image b T_j, as k columns of nv terms each
-                image = combs(unpack(ts[j], nv), bt) if k else []
+                if not k:
+                    image = []
+                elif j == fresh:  # b f e_c is f times row c of b^T
+                    image = [zero] * (k - len(block)) + [
+                        sub(zero, neg(f), bt[c], 0) for c in block]
+                else:
+                    image = comb(unpack(ts[j], nv))
                 w, cols = reduce(mat_vec(a, ech[j][1]), image)
                 if any(w):
-                    adjoin(w, cols)
-                elif k and any(map(any, cols := unpack(cols, nv))):
+                    ts.append(scale(cols, adjoin(w), nv))
+                    continue
+                cols = scale(cols, 1, nv)
+                if any(c != zero for c in cols):
                     # a nonzero relation cuts K to the left kernel of cols:
                     # the I_k part of the rows of [cols | I_k] that
                     # eliminate to 0 in cols
-                    aug = pack([c + e for c, e in zip(
-                        cols, identity(field, k).rows)])
+                    aug = [cat(c, unit(i, 1, k), nv)
+                           for i, c in enumerate(cols)]
                     rk, _ = _eliminate(field, ops, aug, nv, nv + k)
                     kernel = [y[nv:] for y in unpack(aug[rk:], nv + k)]
                     k -= rk
-                    ts = [scale(combs(kernel, t), 1, nv) if k else []
+                    ts = [scale(combs(t)(kernel), 1, nv) if k else []
                           for t in ts]
+                    fresh = None
             j += 1
-    if not k:
-        return []
-    binv = mat_inv(Mat._new(field, [row for _, row in ech]))
-    return [mat_mul(binv, Mat._new(field, unpack([t[y] for t in ts], nv)))
-            for y in range(k)]
+    return k, [row for _, row in ech], ts
+
+
+def _spin_smaller(field, pairs, nu: int, nv: int, labels):
+    """_spin of X a = b X over pairs (a, b), on the smaller side: its
+    result, and True when B^-1 T_y is the transpose of an X."""
+    if nu <= nv:
+        return _spin(field, [(a, transpose(b)) for a, b in pairs], nu, nv,
+                     labels), True
+    return _spin(field, [(transpose(b), a) for a, b in pairs], nv, nu,
+                 labels and labels[::-1]), False
 
 
 def hom_basis_from_pairs(field, pairs, nu: int, nv: int, labels=None):
     """Solve X a = b X for all (a, b) in pairs; X is nv x nu, row-major,
     labels the source's and target's.  Returns the canonical basis."""
-    if nu <= nv:
-        xs = [transpose(x) for x in _spin(
-            field, [(a, transpose(b)) for a, b in pairs], nu, nv, labels)]
-    else:
-        xs = _spin(field, [(transpose(b), a) for a, b in pairs], nv, nu,
-                   labels and labels[::-1])
-    if not xs:
+    (k, b, ts), transposed = _spin_smaller(field, pairs, nu, nv, labels)
+    if not k:
         return []
-    reduced, r, _ = rref(Mat._new(
-        field, [[c for row in x.rows for c in row][::-1] for x in xs]))
+    n = max(nu, nv)  # the spin's target
+    binv, unpack = (mat_inv(Mat._new(field, b)),
+                    _row_ops(field, nu + nv, n).unpack)
+    xs = [mat_mul(binv, Mat._new(field, unpack([t[y] for t in ts], n)))
+          for y in range(k)]
+    reduced, r, _ = rref(Mat._new(field, [
+        [c for row in (transpose(x) if transposed else x).rows
+         for c in row][::-1] for x in xs]))
     return [Mat._new(field, [flat[i * nu:(i + 1) * nu] for i in range(nv)])
             for flat in (row[::-1] for row in reduced.rows[r - 1::-1])]
 
 
-def hom_space(u: Rep, v: Rep) -> list[Mat]:
-    """A basis of all X with X u(g) = v(g) X, as matrices target x
-    source; its length is the dimension of the hom space."""
+def _problem(u: Rep, v: Rep):
+    """The arguments hom_basis_from_pairs takes for Hom(u, v), or None
+    when the labels force Hom(u, v) = 0."""
     if u.group is not v.group:
         raise ValueError("representations must share a group")
     if u.field != v.field:
         raise ValueError("representations must share a field")
     same = u.eigen and v.eigen and u.eigen[0] == v.eigen[0]
     if same and set(u.eigen[1]).isdisjoint(v.eigen[1]):
-        return []
-    return hom_basis_from_pairs(u.field, list(zip(u.gens, v.gens)), u.dim,
-                                v.dim, same and (u.eigen[1], v.eigen[1]))
+        return None
+    return (u.field, list(zip(u.gens, v.gens)), u.dim, v.dim,
+            same and (u.eigen[1], v.eigen[1]))
+
+
+def hom_space(u: Rep, v: Rep) -> list[Mat]:
+    """A basis of all X with X u(g) = v(g) X, as matrices target x
+    source; its length is the dimension of the hom space."""
+    problem = _problem(u, v)
+    return hom_basis_from_pairs(*problem) if problem else []
+
+
+def hom_dim(u: Rep, v: Rep) -> int:
+    """len(hom_space(u, v)), the dimension of the spin's cut space; no
+    basis is built."""
+    problem = _problem(u, v)
+    return _spin_smaller(*problem)[0][0] if problem else 0

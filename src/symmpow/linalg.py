@@ -52,13 +52,17 @@ def _slots(xs, n: int) -> list:
             for x in xs]
 
 
-# Row operations of one row form, on lists of rows except sub: pack and
-# unpack(xs, n) convert n-wide code lists and rows; column(xs, j) is entry j
-# of each, reduced; sub(x, f, y, start) is x - f*y for y zero left of start;
-# scale(xs, s, n) is each s*x, reduced; combs(coeff_rows, ys) is sum(c*y)
-# over ys for each coefficient row.  A reduced row takes room updates by
-# reduced rows, a combination of t rows counting as t, before scale by 1.
-_Ops = namedtuple("_Ops", "pack unpack column sub scale combs room")
+# Row operations of one row form, on lists of rows except sub, zero, unit
+# and cat: pack and unpack(xs, n) convert n-wide code lists and rows;
+# column(xs, j) is entry j of each, reduced; sub(x, f, y, start) is x - f*y
+# for y zero left of start; scale(xs, s, n) is each s*x, reduced; combs(ys)
+# is the map from coefficient rows to their combinations sum(c*y) over ys;
+# zero(n) is the n-wide zero row, unit(j, f, n) the n-wide row f e_j, and
+# cat(x, y, n) the n-wide row x followed by the row y.  A reduced row takes
+# room updates by reduced rows, a combination of t rows counting as t,
+# before scale by 1.
+_Ops = namedtuple("_Ops", "pack unpack column sub scale combs room zero unit "
+                          "cat")
 
 
 def _packed_ops(p: int) -> _Ops:
@@ -74,11 +78,12 @@ def _packed_ops(p: int) -> _Ops:
     def scale(xs, s, n):
         return _pack([[v * s % p for v in a] for a in _slots(xs, n)])
 
-    def combs(coeff_rows, ys):
-        return [sum(map(mul, cs, ys)) for cs in coeff_rows]
+    def combs(ys):
+        return lambda coeff_rows: [sum(map(mul, cs, ys)) for cs in coeff_rows]
 
     return _Ops(_pack, unpack, column, sub, scale, combs,
-                (_SLOT_MAX - (p - 1)) // (p - 1) ** 2)
+                (_SLOT_MAX - (p - 1)) // (p - 1) ** 2, lambda n: 0,
+                lambda j, f, n: f << 32 * j, lambda x, y, n: x | y << 32 * n)
 
 
 def _list_ops(field: FieldSpec) -> _Ops:
@@ -93,16 +98,22 @@ def _list_ops(field: FieldSpec) -> _Ops:
     def scale(xs, s, n):
         return xs if s == 1 else [[fmul(s, v) for v in x] for x in xs]
 
-    def combs(coeff_rows, ys):
+    def combs(ys):
         if field.f == 1:  # one dot product per entry
             cols = list(zip(*ys))
-            return [[sum(map(mul, cs, col)) % p for col in cols]
-                    for cs in coeff_rows]
-        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in ys]
-        return [row_comb(cs, nonzero, len(ys[0])) for cs in coeff_rows]
+            return lambda coeff_rows: [[sum(map(mul, cs, col)) % p
+                                        for col in cols] for cs in coeff_rows]
+        nonzero, n = [[(j, y) for j, y in enumerate(row) if y]
+                      for row in ys], len(ys[0])
+        return lambda coeff_rows: [row_comb(cs, nonzero, n)
+                                   for cs in coeff_rows]
+
+    def unit(j, f, n):
+        return [0] * j + [f] + [0] * (n - j - 1)
 
     return _Ops(list, lambda xs, n: xs, lambda xs, j: [x[j] for x in xs],
-                sub, scale, combs, sys.maxsize)
+                sub, scale, combs, sys.maxsize, lambda n: [0] * n, unit,
+                lambda x, y, n: x + y)
 
 
 _OPS: dict = {}  # (packed or None, list) ops, by p for GF(p), else by field
@@ -213,7 +224,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
     # row i combines b's rows by row i of a
     ops = _row_ops(a.field, b.nrows, b.ncols)
-    return Mat._new(a.field, ops.unpack(ops.combs(a.rows, ops.pack(b.rows)),
+    return Mat._new(a.field, ops.unpack(ops.combs(ops.pack(b.rows))(a.rows),
                                         b.ncols))
 
 

@@ -28,7 +28,7 @@ Conventions that every downstream module relies on:
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations_with_replacement, count
 from math import comb
 
@@ -186,6 +186,24 @@ class Rep:
                 f"group_order={len(self.group.elements)})")
 
 
+def word_images(r: Rep, indices) -> dict:
+    """{j: image of element j} for j in indices, each the product of the
+    generator images along j's first word in group.edges, as Rep.images
+    builds it, with no edge checked."""
+    parent = {}
+    for i, row in enumerate(r.group.edges):
+        for k, j in enumerate(row):
+            parent.setdefault(j, (i, k))
+    images = {0: identity(r.field, r.dim)}
+
+    def image(j):
+        if j not in images:
+            i, k = parent[j]
+            images[j] = mat_mul(image(i), r.gens[k])
+        return images[j]
+    return {j: image(j) for j in indices}
+
+
 def defining_rep(group: GroupData) -> Rep:
     """The representation whose images are the group elements themselves."""
     rep = Rep(group, group.generators)
@@ -255,30 +273,38 @@ def _sym_image(m: Mat, basis: MonomialBasis, prev: Mat = None) -> Mat:
     return Mat._new(field, rows)
 
 
+def _parents(basis: MonomialBasis):
+    """(i, j) per monomial x^alpha of the basis, degree m >= 1: i the first
+    variable of alpha and j the index of alpha - e_i in degree m - 1."""
+    m = basis.m
+    if basis.n == 2:  # x1^(m-k) x2^k has index k
+        return [(int(k == m), min(k, m - 1)) for k in range(m + 1)]
+    lower = monomial_basis(basis.n, m - 1).index
+    out = []
+    for alpha in basis.exponents:
+        i = next(k for k, a in enumerate(alpha) if a)
+        out.append((i, lower[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]))
+    return out
+
+
 def _sym_image_from(m: Mat, basis: MonomialBasis, prev: Mat) -> Mat:
-    # times x_j, the coefficient of beta moves to beta + e_j, so column
+    # times x_i, the coefficient of beta moves to beta + e_i, so column
     # alpha is a combination of prev's column alpha - e_i, shifted
     n = basis.n
     prev_cols = [[(k, x) for k, x in enumerate(col) if x]
                  for col in zip(*prev.rows)]
     forms = [[m.rows[j][i] for j in range(n)] for i in range(n)]
-    comb, dim = m.field.row_comb, len(basis)
-    if n == 2:
-        # x1^(d-k) x2^k has index k, so column k is a*c + b*(c moved down
-        # one): c is prev's column min(k, d-1), (a, b) m's column k == d
-        cols = [comb(forms[k == dim - 1], [c, [(r + 1, x) for r, x in c]],
-                     dim) for k, c in enumerate(prev_cols + prev_cols[-1:])]
+    comb, dim, parents = m.field.row_comb, len(basis), _parents(basis)
+    if n == 2:  # times x1 keeps an index, times x2 adds one to it
+        cols = [comb(forms[i], [prev_cols[j], [(k + 1, x) for k, x in
+                                               prev_cols[j]]], dim)
+                for i, j in parents]
     else:
         lower = monomial_basis(n, basis.m - 1)
         shifts = [[basis.index[e[:j] + (e[j] + 1,) + e[j + 1:]]
                    for e in lower.exponents] for j in range(n)]
-        cols = []
-        for alpha in basis.exponents:
-            i = next(k for k, a in enumerate(alpha) if a)
-            col = prev_cols[lower.index[alpha[:i] + (alpha[i] - 1,)
-                                        + alpha[i + 1:]]]
-            cols.append(comb(forms[i], [[(up[k], x) for k, x in col]
-                                        for up in shifts], dim))
+        cols = [comb(forms[i], [[(up[k], x) for k, x in prev_cols[j]]
+                                for up in shifts], dim) for i, j in parents]
     return Mat._new(m.field, [list(r) for r in zip(*cols)])
 
 
@@ -306,15 +332,19 @@ def sym_power(v: Rep, m: int) -> Rep:
 def sym_powers(v: Rep, m_max: int):
     """Yield Sym^1(v), ..., Sym^m_max(v), each degree built from the one
     before, the only one kept; x^alpha gets the eigen label prod
-    lam_i^alpha_i, lam_i the label of x_i, multiplied part by part."""
+    lam_i^alpha_i, lam_i the label of x_i, multiplied part by part: the
+    label of x^alpha / x_i times lam_i, i the first variable of alpha."""
     gens = [identity(v.field, 1)] * len(v.gens)
-    mul, pw = v.field.mul, v.field.pow
+    mul, labels = v.field.mul, [(1, 1)]
     for m in range(1, m_max + 1):
         basis = monomial_basis(v.dim, m)
         gens = [_sym_image(g, basis, prev) for g, prev in zip(v.gens, gens)]
-        yield Rep(v.group, gens, v.eigen and (v.eigen[0], list(zip(*(
-            [reduce(mul, map(pw, lams, a), 1) for a in basis.exponents]
-            for lams in zip(*v.eigen[1]))))))
+        if v.eigen:
+            lams = v.eigen[1]
+            labels = [(mul(labels[j][0], lams[i][0]),
+                       mul(labels[j][1], lams[i][1]))
+                      for i, j in _parents(basis)]
+        yield Rep(v.group, gens, v.eigen and (v.eigen[0], labels))
 
 
 def dual_rep(r: Rep) -> Rep:

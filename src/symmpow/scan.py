@@ -2,17 +2,18 @@
 
 occurrence_tables brute-forces dim Hom(W, Sym^m V) and dim Hom(Sym^m V, W)
 for m = 1..m_max from generator images of Sym^m V alone, two spins of W
-per degree (see homs), by one rule: V and each W are written in a joint
-eigenbasis of the scalar generator z and one h in G of order dividing
-q - 1 (the identity when no h helps), each coordinate labelled by its
-(h, z) eigenvalue pair.  Every monomial of Sym^m V is then labelled too,
-and a hom keeps labels: a seed of W opens only the Sym^m coordinates of
-its label, and a degree where no label of W occurs in Sym^m V is (m, 0, 0)
-with no solve.  One degree loop serves all modules: sym_powers builds each
-Sym^m V once, from the one before; occurrence_scan is the one-module case.
-verify_theorem scans a document's irreducible modules in one scan_modules
-call, as the scan command does; a certified degree beyond the scan is
-built by sym_power.
+per degree, each read for its dimension only (see homs.hom_dim), by one
+rule: V and each W are written in a joint eigenbasis of the scalar
+generator z and one h in G of order dividing q - 1 (the identity when no
+h helps), each coordinate labelled by its (h, z) eigenvalue pair.  Every
+monomial of Sym^m V is then labelled too, and a hom keeps labels: a seed
+of W opens only the Sym^m coordinates of its label, and a degree where no
+label of W occurs in Sym^m V is (m, 0, 0) with no solve.  One degree loop
+serves all modules: sym_powers builds each Sym^m V once, from the one
+before; occurrence_scan is the one-module case.  verify_theorem scans a
+document's irreducible modules in one scan_modules call, as the scan
+command does; a certified degree beyond the scan is built by sym_power,
+once for all of the document's modules.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -43,7 +44,7 @@ from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
 from .fields import extend_field, mult_order, root_of_unity
 from .groups import conjugacy_classes
-from .homs import hom_space
+from .homs import hom_dim
 from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, extend_scalars,
@@ -61,7 +62,7 @@ class OccurrenceTable(NamedTuple):
 
 
 def _scan_one(sym: Rep, w: Rep, m: int):
-    return m, len(hom_space(w, sym)), len(hom_space(sym, w))
+    return m, hom_dim(w, sym), hom_dim(sym, w)
 
 
 def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
@@ -104,7 +105,7 @@ def occurrence_tables(v: Rep, ws, m_max: int | None = None,
     """Per module in ws, hom dimensions both ways up to m_max, on one
     Sym^m(v) per degree, every solve in the joint (h, z) eigenbasis of
     _eigen_element(v): a degree where no label of W occurs in Sym^m gets
-    zeros unsolved (see hom_space)."""
+    zeros unsolved (see hom_dim)."""
     group = v.group
     if any(w.group is not group for w in ws):
         raise ValueError("representations must share a group")
@@ -299,17 +300,19 @@ def verify_theorem(v: Rep, modules, options: VerifyOptions | None = None
     pairs = list(zip(modules, verdicts))
     tables = iter(scan_modules(v, [mod for mod, res in pairs
                                    if res.irreducible], opts))
-    return [_certify(v, label, w, res.draws, next(tables), opts)
+    syms = {}  # Sym^m(v) by degree, for the degrees beyond the scan
+    return [_certify(v, label, w, res.draws, next(tables), opts, syms)
             if res.irreducible else None for (label, w), res in pairs]
 
 
 def _certify(v: Rep, label: str, w: Rep, draws: int, table: OccurrenceTable,
-             opts: VerifyOptions) -> TheoremReport:
+             opts: VerifyOptions, syms: dict) -> TheoremReport:
     """The report of the irreducible w, whose scan is table: extends
     scalars to a splitting field, builds constructive certificates from a
     simple quotient (for the submodule claim) and a simple submodule (for
     the quotient claim), each verified at the shifts 1..k_max too, and
-    descends both occurrences to the base field."""
+    descends both occurrences to the base field.  A degree beyond the scan
+    is solved on syms[m], built once per document."""
     m_max = len(table.rows)
 
     # over GF(q^e) the submodule claim is built from a simple quotient
@@ -328,8 +331,10 @@ def _certify(v: Rep, label: str, w: Rep, draws: int, table: OccurrenceTable,
     def row_at(m):
         if m <= m_max:
             return table.rows[m - 1]
-        check_sym_dim(v.dim, m, opts.cap_dim)
-        return _scan_one(sym_power(v, m), w, m)
+        if m not in syms:
+            check_sym_dim(v.dim, m, opts.cap_dim)
+            syms[m] = sym_power(v, m)
+        return _scan_one(syms[m], w, m)
 
     row_sub = row_at(cert_sub.degree)
     row_quot = (row_sub if cert_quot.degree == cert_sub.degree

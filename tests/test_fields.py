@@ -185,6 +185,10 @@ def test_full_tables_agree_with_the_element_operations(p, f):
     # GF(4), GF(27), GF(125) and GF(256) get one bytes row per element;
     # GF(729) lies past the bound and has none
     F = sp.make_field(p, f)
+    # reports write every element as its coefficient vector, from a
+    # table at full-table sizes and decoded past them
+    assert [F.to_json(a) for a in range(F.q)] == [
+        oracle_coeffs(a, p, f) for a in range(F.q)]
     if F.q > 256:
         assert F.add_table is None and F.mul_table is None
         return

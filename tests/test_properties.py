@@ -298,3 +298,5 @@ def test_packed_spin_is_the_kronecker_basis(case, data, seed):
                                       u.dim, w.dim)
     assert bool(expected) == (case != "K cut to 0")
     assert sp.hom_space(u, w) == expected
+    # the scan's dimension-only read of the same spin
+    assert sp.homs.hom_dim(u, w) == len(expected)

@@ -235,6 +235,9 @@ def test_replayed_images_match_per_element_constructions(s3, q8, sl23):
                 assert sp.sym_power(r, m).images == _sym_oracle(r, m)
             assert sp.dual_rep(r).images == _dual_oracle(r)
             assert sp.extend_scalars(r, 2).images == _extend_oracle(r, 2)
+            # the unchecked products along first words are the replay's
+            assert sp.reps.word_images(r, range(group.order)) == dict(
+                enumerate(r.images))
         for t in range(group.center_order):
             assert sp.induced_from_center(group, t).images == \
                 _induced_oracle(group, t)

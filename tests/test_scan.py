@@ -196,6 +196,20 @@ def _spun_degrees(monkeypatch, v, w, m_max):
     return rows, [m for m, _ in spins]
 
 
+def test_degrees_beyond_the_scan_are_built_once_per_document(monkeypatch,
+                                                              load_doc):
+    # q8_gf5's five modules certify at degrees 6, 6, 6, 6 and 7; a scan to
+    # m = 1 leaves both degrees beyond it, and each is built once for all
+    group, v, modules = load_doc("q8_gf5")
+    built, real = [], sp.scan.sym_power
+    monkeypatch.setattr(sp.scan, "sym_power",
+                        lambda v, m: built.append(m) or real(v, m))
+    reports = sp.verify_theorem(v, modules,
+                                sp.VerifyOptions(k_max=0, m_max=1))
+    assert [r.sub_claim.degree for r in reports] == [6, 6, 6, 6, 7]
+    assert built == [6, 7]
+
+
 def test_scan_validates_modules_before_skipping(fresh_case):
     group, v, mods = fresh_case("c4_gf5")
     trivial = mods["chi0"]
@@ -428,6 +442,10 @@ def test_eigenbasis_solves_match_plain_solves_in_dense_bases(load_doc):
                 # every degree, also those the label shortcut answers
                 assert [sp.scan._scan_one(sym, w, m) for w in lws] == \
                     plain[m - 1], (name, seed, m)
+                # the scan reads dimensions only; the bases agree
+                assert [(m, len(sp.hom_space(w, sym)),
+                         len(sp.hom_space(sym, w))) for w in lws] == \
+                    plain[m - 1], (name, seed, m)
 
 
 def _spin_labels(monkeypatch, v, w, m_max):
@@ -445,22 +463,27 @@ def _spin_labels(monkeypatch, v, w, m_max):
 
 
 def _first_block(monkeypatch, u, w):
-    """How many unknowns the solve of Hom(u, w) holds when it first maps a
-    spin vector: the first seed's block (its first unpack of a T_j)."""
-    sizes, row_ops = [], sp.homs._row_ops
+    """How many unknowns the first seed of the solve of Hom(u, w) opens:
+    the unit rows its T is built from, all made before the first row
+    update, which is its first image."""
+    events, row_ops = [], sp.homs._row_ops
 
     def recording(*args):
         ops = row_ops(*args)
 
-        def unpack(xs, n):
-            sizes.append(len(xs))
-            return ops.unpack(xs, n)
-        return ops._replace(unpack=unpack)
+        def unit(*a):
+            events.append("unit")
+            return ops.unit(*a)
+
+        def sub(*a):
+            events.append("sub")
+            return ops.sub(*a)
+        return ops._replace(unit=unit, sub=sub)
 
     monkeypatch.setattr(sp.homs, "_row_ops", recording)
     sp.hom_space(u, w)
     monkeypatch.undo()
-    return sizes[0]
+    return events.index("sub")
 
 
 def test_first_seed_opens_half_of_sym_on_sl2_5(monkeypatch, load_doc):
