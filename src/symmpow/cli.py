@@ -37,7 +37,7 @@ from .fields import FieldSpec, make_field
 from .groups import DEFAULT_GROUP_CAP, GroupData, build_group
 from .linalg import Mat
 from .meataxe import is_irreducible
-from .reps import defining_rep, paired_rep
+from .reps import paired_rep
 from .scan import (OccurrenceTable, TheoremReport, VerifyOptions,
                    scan_modules, verify_theorem)
 
@@ -319,7 +319,7 @@ def cmd_scan(doc: ProblemDoc):
     group = _build_group(doc)
     opts = _verify_options(doc)
     reps = _module_reps(doc, group)
-    tables = scan_modules(defining_rep(group), reps, opts)
+    tables = scan_modules(reps, opts)
     # scan_modules raises on every failure, so a returned table is ok
     modules = [{"label": label, "dim": rep.dim, "ok": True, **enc_table(table)}
                for (label, rep), table in zip(reps, tables)]
@@ -330,7 +330,7 @@ def cmd_construct(doc: ProblemDoc):
     """Full verification per module, certificates serialized in full."""
     group = _build_group(doc)
     reps = _module_reps(doc, group)
-    reports = verify_theorem(defining_rep(group), reps, _verify_options(doc))
+    reports = verify_theorem(reps, _verify_options(doc))
     # a reducible module gets no report
     modules = [{"label": label, "dim": rep.dim,
                 "report": tr if tr is None else enc_theorem_report(tr)}

@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .errors import TheoremViolation
 from .fields import FieldSpec, extend_field, field_embedding
 from .groups import GroupData, scalar_of
-from .homs import hom_space
+from .homs import hom_dim, hom_space
 from .linalg import Mat, mat_mul, mat_vec, rank, transpose
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
                    extend_scalars, induced_from_center, poly_from_vector,
@@ -270,7 +270,7 @@ def assemble(w: Rep, k_max: int = 0,
 
     hs_in = hom_space(w_ext, span_rep)
     _require(flags, "module_occurs_in_span",
-             bool(hs_in and hom_space(span_rep, w_ext)))
+             bool(hs_in and hom_dim(span_rep, w_ext)))
     embedding = mat_mul(transpose(span), hs_in[0])
     quotient = _witnesses(flags, sym_rep, w_ext, embedding)
 

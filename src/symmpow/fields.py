@@ -137,7 +137,7 @@ class FieldSpec:
     __slots__ = (
         "p", "f", "q", "modulus",
         "add", "sub", "neg", "mul", "inv", "pow", "row_sub", "row_comb",
-        "add_table", "mul_table", "_exp", "_log", "_vectors",
+        "add_table", "mul_table", "_vectors",
     )
 
     def __init__(self, p: int, f: int, modulus):
@@ -145,7 +145,7 @@ class FieldSpec:
         self.f = f
         self.q = p ** f
         self.modulus = tuple(modulus)
-        self._exp = self._log = self.add_table = self.mul_table = None
+        self.add_table = self.mul_table = None
         self._vectors = None
         if f == 1:
             self._setup_prime()
@@ -294,8 +294,8 @@ class FieldSpec:
         gen = next(c for c in range(2, q)
                    if all(_square_multiply(self._raw_mul, c, e) != 1
                           for e in cofactors))
-        exp = self._exp = [1] * qm1
-        log = self._log = [0] * q
+        exp = [1] * qm1
+        log = [0] * q
         # x * gen is the digit sum of lo * gen and hi * P * gen, x = hi*P + lo
         P = p ** (self.f // 2)
         dsum = _digit_sums(p, q // P)

@@ -22,7 +22,9 @@ class GroupData:
 
     Built from the closure that :func:`enumerate_group` computes:
     generators, elements, index (matrix key -> element index), edges
-    (edges[i][k] = index of elements[i] @ generators[k]) and inverse.
+    (edges[i][k] = index of elements[i] @ generators[k]), parents and
+    inverse; parents[j] = (i, k), i < j, is the edge that first reached
+    element j (None for the identity), the tree every element word follows.
     The constructor reads field, dim and generator_indices off those,
     takes z_indices, z_generator_index and lam from
     :func:`center_scalars` and transversal and coset_of from
@@ -30,15 +32,16 @@ class GroupData:
     """
 
     __slots__ = ("field", "dim", "generators", "generator_indices",
-                 "elements", "index", "edges", "inverse",
+                 "elements", "index", "edges", "parents", "inverse",
                  "z_indices", "z_generator_index", "lam",
                  "transversal", "coset_of")
 
-    def __init__(self, generators, elements, index, edges, inverse):
+    def __init__(self, generators, elements, index, edges, parents, inverse):
         self.generators = generators
         self.elements = elements
         self.index = index
         self.edges = edges
+        self.parents = parents
         self.inverse = inverse
         self.field = generators[0].field
         self.dim = generators[0].nrows
@@ -100,7 +103,7 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
     elements = [ident]
     index = {ident.key(): 0}
     edges = []
-    parents = []  # (i, k) with elements[j] = elements[i] @ gens[k], j >= 1
+    parents = [None]  # (i, k) with elements[j] = elements[i] @ gens[k]
     i = 0
     while i < len(elements):
         row = []
@@ -121,9 +124,9 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
         i += 1
 
     invs, inverse = [mat_inv(g) for g in gens], [0]
-    for i, k in parents:  # (x g)^-1 = g^-1 x^-1, and x precedes x g
+    for i, k in parents[1:]:  # (x g)^-1 = g^-1 x^-1, and x precedes x g
         inverse.append(index[mat_mul(invs[k], elements[inverse[i]]).key()])
-    return GroupData(gens, elements, index, edges, inverse)
+    return GroupData(gens, elements, index, edges, parents, inverse)
 
 
 def scalar_of(m: Mat):
@@ -212,6 +215,4 @@ def conjugacy_classes(group: GroupData):
     return classes
 
 
-def build_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
-    """The complete group on the generators; see :func:`enumerate_group`."""
-    return enumerate_group(generators, cap)
+build_group = enumerate_group  # the public name of the one group builder

@@ -22,7 +22,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import MeataxeInconclusive, TheoremViolation
-from .homs import hom_space
+from .homs import hom_dim
 from .linalg import Mat, mat_mul, mat_vec, null_space, rref, transpose
 from .reps import Rep, dual_rep, extend_scalars
 
@@ -126,43 +126,53 @@ def _kernel_lines(field, kernel_vectors):
     return lines
 
 
+def _split(r: Rep, draw: int, cert: dict, theta: Mat, vectors):
+    """The split from the first of vectors whose spin is proper, else from
+    a kernel vector of theta^T whose spin under the dual action is proper;
+    None when that spin fills the dual space too."""
+    for vec in vectors:
+        spun = _spin(vec, r.gens, r.field, r.dim)
+        if spun.nrows < r.dim:
+            cert["primal_vector"] = vec
+            return SplitResult("split", sub_rep=_restrict(r, spun),
+                               draws=draw, certificate=cert)
+    w0 = cert["dual_vector"] = null_space(transpose(theta))[0]
+    dual_spun = _spin(w0, dual_rep(r).gens, r.field, r.dim)
+    if dual_spun.nrows == r.dim:
+        return None
+    # annihilator of a stable dual subspace is a stable subspace
+    ann_rows, _, _ = rref(Mat._new(r.field, null_space(dual_spun)))
+    return SplitResult("split", sub_rep=_restrict(r, ann_rows),
+                       draws=draw, certificate=cert)
+
+
 def is_irreducible(r: Rep, seed: int = 0) -> SplitResult:
-    """Norton/Parker test; raises MeataxeInconclusive after the draw budget."""
+    """Norton/Parker test; raises MeataxeInconclusive after the draw budget.
+    A draw with too many kernel lines to enumerate is skipped, and retried
+    once the budget is spent: a split needs only one proper spin."""
     if r.dim < 1:
         raise ValueError("empty module")
     if r.dim == 1:
         return SplitResult("irreducible", draws=0,
                            certificate={"reason": "dimension 1"})
     rng = Lcg(seed)
-    gens, field = r.gens, r.field
-    dual_gens = None
+    skipped = []
     for draw in range(1, _DEFAULT_BUDGET + 1):
-        theta, recipe = _random_theta(rng, r, gens)
+        theta, recipe = _random_theta(rng, r, r.gens)
         kernel = null_space(theta)
         if not kernel:
             continue
-        lines = _kernel_lines(field, kernel)
+        cert = {"theta": recipe, "kernel_dim": len(kernel)}
+        lines = _kernel_lines(r.field, kernel)
         if lines is None:
+            skipped.append((draw, cert, theta, kernel))
             continue
-        cert = {"theta": recipe, "kernel_dim": len(kernel),
-                "lines_checked": len(lines)}
-        for vec in lines:
-            spun = _spin(vec, gens, field, r.dim)
-            if spun.nrows < r.dim:
-                cert["primal_vector"] = vec
-                return SplitResult("split", sub_rep=_restrict(r, spun),
-                                   draws=draw, certificate=cert)
-        if dual_gens is None:
-            dual_gens = dual_rep(r).gens
-        w0 = null_space(transpose(theta))[0]
-        cert["dual_vector"] = w0
-        dual_spun = _spin(w0, dual_gens, field, r.dim)
-        if dual_spun.nrows == r.dim:
-            return SplitResult("irreducible", draws=draw, certificate=cert)
-        # annihilator of a stable dual subspace is a stable subspace
-        ann_rows, _, _ = rref(Mat._new(field, null_space(dual_spun)))
-        return SplitResult("split", sub_rep=_restrict(r, ann_rows),
-                           draws=draw, certificate=cert)
+        cert["lines_checked"] = len(lines)
+        return _split(r, draw, cert, theta, lines) or SplitResult(
+            "irreducible", draws=draw, certificate=cert)
+    for res in (_split(r, *args) for args in skipped):
+        if res:
+            return res
     raise MeataxeInconclusive(
         f"no verdict after {_DEFAULT_BUDGET} draws (seed {seed}); vary the "
         "seed")
@@ -205,11 +215,11 @@ def splitting_extension(r: Rep, seed: int = 0):
     pieces, none of which exists over a smaller extension.  When e = 1
     the piece is r itself, so r must already be known irreducible.
     """
-    e = len(hom_space(r, r))
+    e = hom_dim(r, r)
     if e == 1:
         return 1, r
     s = simple_submodule(extend_scalars(r, e), seed)
-    if len(hom_space(s, s)) != 1:
+    if hom_dim(s, s) != 1:
         raise TheoremViolation("simple piece over the splitting field is "
                                "not absolutely irreducible")
     return e, s

@@ -4,9 +4,9 @@ Conventions that every downstream module relies on:
 
 * A ``Rep`` stores one image matrix per generator, in the order of
   ``group.generators``.  The per-element images, indexed by the group's
-  element indices, are replayed from the generator images through the
-  group's edge table on first access, and every edge is checked.  Images
-  act on coordinate column vectors from the left.
+  element indices, are multiplied out along the group's first-word tree
+  (``group.parents``) on first access, and every other edge is checked.
+  Images act on coordinate column vectors from the left.
 * Degree-m monomials in n variables are ordered by decreasing
   lexicographic order on exponent vectors (for n = 2, m = 2 that is
   x1^2, x1 x2, x2^2).  A degree-m polynomial is the coefficient vector
@@ -140,14 +140,15 @@ class Rep:
     :func:`symmpow.fields.field_embedding` where it is consumed.
 
     ``images`` holds one image per group element; it is built on first
-    access by replaying ``group.edges`` from the identity, and every edge
-    is checked, so two words reaching the same element must give equal
-    matrices.  A mismatch raises NotARepresentation.  Generators determine
-    the whole action, so stability and intertwining checks run on
-    ``gens``; ``images`` is for the arguments that are per-element by
-    nature.  ``eigen`` is None, or (h, labels) for images written in a
-    joint eigenbasis of the images of h and of the scalar generator z,
-    labels[i] the pair of their eigenvalues on coordinate i.
+    access by multiplying along ``group.parents`` from the identity, and
+    every other edge of ``group.edges`` is checked, so two words reaching
+    the same element must give equal matrices.  A mismatch raises
+    NotARepresentation.  Generators determine the whole action, so
+    stability and intertwining checks run on ``gens``; ``images`` is for
+    the arguments that are per-element by nature.  ``eigen`` is None, or
+    (h, labels) for images written in a joint eigenbasis of the images of
+    h and of the scalar generator z, labels[i] the pair of their
+    eigenvalues on coordinate i.
     """
 
     __slots__ = ("group", "field", "dim", "gens", "eigen", "_images")
@@ -166,15 +167,14 @@ class Rep:
     @property
     def images(self):
         if self._images is None:
-            images = [None] * len(self.group.elements)
-            images[0] = identity(self.field, self.dim)
+            parents, gens = self.group.parents, self.gens
+            images = [identity(self.field, self.dim)]
+            for i, k in parents[1:]:
+                images.append(mat_mul(images[i], gens[k]))
             for i, row in enumerate(self.group.edges):
-                src = images[i]
                 for k, j in enumerate(row):
-                    prod = mat_mul(src, self.gens[k])
-                    if images[j] is None:
-                        images[j] = prod
-                    elif images[j] != prod:
+                    if (parents[j] != (i, k)
+                            and mat_mul(images[i], gens[k]) != images[j]):
                         raise NotARepresentation(
                             "generator images are inconsistent: two words "
                             f"for group element {j} yield different matrices")
@@ -188,17 +188,13 @@ class Rep:
 
 def word_images(r: Rep, indices) -> dict:
     """{j: image of element j} for j in indices, each the product of the
-    generator images along j's first word in group.edges, as Rep.images
-    builds it, with no edge checked."""
-    parent = {}
-    for i, row in enumerate(r.group.edges):
-        for k, j in enumerate(row):
-            parent.setdefault(j, (i, k))
-    images = {0: identity(r.field, r.dim)}
+    generator images along j's first word in group.parents, as Rep.images
+    builds it, with no other edge checked."""
+    parents, images = r.group.parents, {0: identity(r.field, r.dim)}
 
     def image(j):
         if j not in images:
-            i, k = parent[j]
+            i, k = parents[j]
             images[j] = mat_mul(image(i), r.gens[k])
         return images[j]
     return {j: image(j) for j in indices}

@@ -12,8 +12,8 @@ label of W occurs in Sym^m V is (m, 0, 0) with no solve.  One degree loop
 serves all modules: sym_powers builds each Sym^m V once, from the one
 before; occurrence_scan is the one-module case.  verify_theorem scans a
 document's irreducible modules in one scan_modules call, as the scan
-command does; a certified degree beyond the scan is built by sym_power,
-once for all of the document's modules.
+command does, in Sym^m of their group's defining module V; a certified
+degree beyond the scan is built by sym_power, once per document.
 
 The Molien oracle recomputes the same multiplicities with no shared code
 path beyond field arithmetic, valid when the characteristic does not
@@ -47,8 +47,8 @@ from .groups import conjugacy_classes
 from .homs import hom_dim
 from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
-from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, extend_scalars,
-                   sym_power, sym_powers)
+from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
+                   extend_scalars, sym_power, sym_powers)
 
 
 class OccurrenceTable(NamedTuple):
@@ -239,9 +239,10 @@ class VerifyOptions(NamedTuple):
         return self.m_max if self.m_max is not None else group.order
 
 
-def scan_modules(v: Rep, modules, opts: VerifyOptions) -> list:
-    """Occurrence tables of every (label, w) in modules to opts.depth, from
-    one degree loop, cross-checked in module order.
+def scan_modules(modules, opts: VerifyOptions) -> list:
+    """Occurrence tables of every (label, w) in modules to opts.depth, in
+    Sym^m of their group's defining module, from one degree loop,
+    cross-checked in module order.
 
     The character oracle runs when opts.molien is "on", or "auto" and the
     characteristic does not divide |G|; "on" when it does is malformed
@@ -251,7 +252,8 @@ def scan_modules(v: Rep, modules, opts: VerifyOptions) -> list:
     """
     if not modules:
         return []
-    group = v.group
+    group = modules[0][1].group
+    v = defining_rep(group)
     coprime = group.order % v.field.p != 0
     if opts.molien == "on" and not coprime:
         raise ParseError("character oracle requested but the characteristic "
@@ -284,28 +286,27 @@ class TheoremReport(NamedTuple):
     periodicity: list
 
 
-def verify_theorem(v: Rep, modules, options: VerifyOptions | None = None
-                   ) -> list:
+def verify_theorem(modules, options: VerifyOptions | None = None) -> list:
     """Run the whole argument for every (label, w) in modules, checking
     every step; one TheoremReport per module, None for a reducible one.
 
-    Certifies the irreducibility of every module first (a reducible module
-    has no guaranteed occurrence), scans the irreducible ones together
-    with ``scan_modules`` (one Sym^m per degree, and the character
-    oracle), then certifies each module against its own table.  Every
-    failed step raises, so a returned report is verified.
+    Certifies the irreducibility of every module first (a reducible module has
+    no guaranteed occurrence), scans the irreducible ones together with
+    ``scan_modules`` (one Sym^m V per degree, V their group's defining module,
+    and the character oracle), then certifies each module against its own
+    table.  Every failed step raises, so a returned report is verified.
     """
     opts = options or VerifyOptions()
     verdicts = [is_irreducible(w, opts.seed) for _, w in modules]
     pairs = list(zip(modules, verdicts))
-    tables = iter(scan_modules(v, [mod for mod, res in pairs
-                                   if res.irreducible], opts))
-    syms = {}  # Sym^m(v) by degree, for the degrees beyond the scan
-    return [_certify(v, label, w, res.draws, next(tables), opts, syms)
+    tables = iter(scan_modules([mod for mod, res in pairs
+                                if res.irreducible], opts))
+    syms = {}  # Sym^m(V) by degree, for the degrees beyond the scan
+    return [_certify(label, w, res.draws, next(tables), opts, syms)
             if res.irreducible else None for (label, w), res in pairs]
 
 
-def _certify(v: Rep, label: str, w: Rep, draws: int, table: OccurrenceTable,
+def _certify(label: str, w: Rep, draws: int, table: OccurrenceTable,
              opts: VerifyOptions, syms: dict) -> TheoremReport:
     """The report of the irreducible w, whose scan is table: extends
     scalars to a splitting field, builds constructive certificates from a
@@ -332,8 +333,8 @@ def _certify(v: Rep, label: str, w: Rep, draws: int, table: OccurrenceTable,
         if m <= m_max:
             return table.rows[m - 1]
         if m not in syms:
-            check_sym_dim(v.dim, m, opts.cap_dim)
-            syms[m] = sym_power(v, m)
+            check_sym_dim(w.group.dim, m, opts.cap_dim)
+            syms[m] = sym_power(defining_rep(w.group), m)
         return _scan_one(syms[m], w, m)
 
     row_sub = row_at(cert_sub.degree)

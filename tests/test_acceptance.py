@@ -43,7 +43,7 @@ def sweep():
         group = _build_group(doc)
         v = sp.defining_rep(group)
         modules = _module_reps(doc, group)
-        reports = sp.verify_theorem(v, modules, sp.VerifyOptions(k_max=0))
+        reports = sp.verify_theorem(modules, sp.VerifyOptions(k_max=0))
         out[name] = (group, v, {label: rep for (label, _), rep
                                 in zip(modules, reports)})
     elapsed = time.perf_counter() - t0
@@ -125,14 +125,12 @@ def test_criterion_5_periodicity_witnesses():
     s3 = sp.build_group([sp.Mat(F7, [[0, 1], [1, 0]]),
                          sp.Mat(F7, [[0, 6], [1, 6]])])
     sign = sp.paired_rep(s3, [sp.Mat(F7, [[6]]), sp.Mat(F7, [[1]])])
-    [rep_a] = sp.verify_theorem(sp.defining_rep(s3), [("sign", sign)],
-                                sp.VerifyOptions(k_max=1))
+    [rep_a] = sp.verify_theorem([("sign", sign)], sp.VerifyOptions(k_max=1))
     F3 = sp.make_field(3)
     sl23 = sp.build_group([sp.Mat(F3, [[1, 1], [0, 1]]),
                            sp.Mat(F3, [[1, 0], [1, 1]])])
     v3 = sp.defining_rep(sl23)
-    [rep_b] = sp.verify_theorem(v3, [("defining", v3)],
-                                sp.VerifyOptions(k_max=1))
+    [rep_b] = sp.verify_theorem([("defining", v3)], sp.VerifyOptions(k_max=1))
     ok = rep_a.periodicity == [True] and rep_b.periodicity == [True]
     _emit(5, ok, "shifted witnesses verified at degree m + |G| for S3 sign "
           "and for SL2(3) defining in dividing characteristic")

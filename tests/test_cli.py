@@ -369,7 +369,7 @@ def test_irreducibility_verdicts_come_before_any_certificate(capsys,
 
 
 def test_internal_violation_exits_6(tmp_path, capsys, monkeypatch):
-    def fake(v, modules, options=None):
+    def fake(modules, options=None):
         raise TheoremViolation("verified identity failed: synthetic")
     monkeypatch.setattr(cli, "verify_theorem", fake)
     path = write_doc(tmp_path, S3_DOC)
@@ -387,9 +387,9 @@ def test_oracle_disagreement_exits_6(tmp_path, capsys, monkeypatch, s3):
     err = capsys.readouterr().err
     assert "scan and character oracle disagree" in err
     assert "Traceback" not in err
-    _, v, mods = s3
+    _, _, mods = s3
     with pytest.raises(TheoremViolation):
-        scan.verify_theorem(v, [("sign", mods["sign"])],
+        scan.verify_theorem([("sign", mods["sign"])],
                             scan.VerifyOptions(k_max=0))
 
 
@@ -401,9 +401,9 @@ def test_missing_base_occurrence_is_a_violation(tmp_path, capsys,
     # the oracle is off: it would reject the standard module's faked row
     # at m = 1 before the trivial module's certificate is checked
     monkeypatch.setattr(scan, "_scan_one", lambda v, w, m: (m, 0, 0))
-    _, v, mods = s3
+    _, _, mods = s3
     with pytest.raises(TheoremViolation, match="certified degree"):
-        scan.verify_theorem(v, [("sign", mods["sign"])],
+        scan.verify_theorem([("sign", mods["sign"])],
                             scan.VerifyOptions(m_max=1, k_max=0))
     out = tmp_path / "r.json"
     assert run(["construct", "--m-max", "1", "--molien", "off", "--input",

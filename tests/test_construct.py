@@ -182,17 +182,20 @@ def test_assemble_embedding_witness_is_injective_intertwiner(q8):
 
 
 def test_periodicity_schedule(s3, monkeypatch):
-    _, v, mods = s3
+    _, _, mods = s3
     sym_calls = _spy(monkeypatch, "sym_power")
     hom_calls = _spy(monkeypatch, "hom_space")
+    dim_calls = _spy(monkeypatch, "hom_dim")
     coset_calls = _spy(monkeypatch, "build_coset_products")
     sp.assemble(mods["sign"], k_max=2)
     # one shift-free build; each shift adds one symmetric power and one
-    # quotient solve, and reuses the span's two hom spaces
+    # quotient solve, and reuses the span's hom space; the reverse half of
+    # the span check reads only a dimension
     assert [args[1] for args in sym_calls] == [5, 11, 17]
     assert len(coset_calls) == 1
-    assert len(hom_calls) == 3 + 2
-    [rep] = sp.verify_theorem(v, [("sign", mods["sign"])],
+    assert len(hom_calls) == 2 + 2
+    assert len(dim_calls) == 1
+    [rep] = sp.verify_theorem([("sign", mods["sign"])],
                               sp.VerifyOptions(k_max=2))
     assert rep.periodicity == [True, True]
 
@@ -205,7 +208,7 @@ def test_shifted_span_is_permuted_as_at_shift_zero(load_doc):
         group, v, modules = load_doc(path.stem)
         if group.order > 60:          # the corpus constructs
             continue
-        for (label, _), rep in zip(modules, sp.verify_theorem(v, modules)):
+        for (label, _), rep in zip(modules, sp.verify_theorem(modules)):
             for cert in (rep.sub_claim, rep.quot_claim):
                 v_rep = sp.extend_scalars(v, cert.extension_degree)
                 _, _, span_rep = construct._span_action(

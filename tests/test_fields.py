@@ -168,16 +168,19 @@ def test_field_equality_and_bad_inputs():
 def test_exp_log_generator_is_least_primitive_code(p, f):
     F = sp.make_field(p, f)
     q = F.q
-    gen = F._exp[1]
-    # the tables walk all of GF(q)* by a precomputed multiplication by
-    # gen, checked here against raw multiplication, so the table-backed
+    gen = next(c for c in range(2, q) if sp.mult_order(F, c) == q - 1)
+    # mul, inv and pow read exp/log tables, held only by their closures;
+    # the powers of the least primitive code walk all of GF(q)*, each
+    # step checked here against raw multiplication, so the table-backed
     # mul that mult_order uses is the field's own
-    assert sorted(F._exp) == list(range(1, q))
+    walk = [1]
+    for _ in range(q - 2):
+        walk.append(F.mul(walk[-1], gen))
+    assert sorted(walk) == list(range(1, q))
     for k in range(0, q - 1, max(1, q // 97)):
-        assert F._exp[(k + 1) % (q - 1)] == F._raw_mul(F._exp[k], gen)
-        assert F._log[F._exp[k]] == k
-    assert sp.mult_order(F, gen) == q - 1
-    assert all(sp.mult_order(F, c) < q - 1 for c in range(2, gen))
+        assert walk[(k + 1) % (q - 1)] == F._raw_mul(walk[k], gen)
+        assert F.pow(gen, k) == walk[k]
+        assert F.inv(walk[k]) == walk[-k]
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (3, 3), (5, 3), (2, 8), (3, 6)])

@@ -1,11 +1,14 @@
 """Randomized irreducibility testing and module splitting."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symmpow as sp
-from symmpow.linalg import rank
+from symmpow import cli, meataxe
+from symmpow.linalg import mat_vec, null_space, rank
 from symmpow.meataxe import _LINE_LIMIT, _kernel_lines, _restrict, _spin
 
 from oracles import hom_defect_count, spin_by_words
@@ -69,6 +72,67 @@ def test_budget_exhaustion_raises(monkeypatch):
     with pytest.raises(sp.MeataxeInconclusive,
                        match=r"^no verdict after 0 draws \(seed 0\); vary"):
         sp.is_irreducible(rep, seed=0)
+
+
+def _big_kernel_doc(p, dim):
+    """The order-8 group on [[0, 1], [1, 0]] and [[p - 1, 0], [0, 1]] over
+    GF(p), with its trivial module of dimension dim: every singular draw
+    has the whole space as kernel, more lines than the MeatAxe lists."""
+    ident = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return {"schema": "symmpow-v1", "field": {"p": p, "f": 1},
+            "generators": [[[0, 1], [1, 0]], [[p - 1, 0], [0, 1]]],
+            "modules": [{"label": "trivial", "images": [ident, ident]}]}
+
+
+@pytest.mark.parametrize("p, dim", [(17, 4), (11, 6)])
+def test_big_kernel_draws_still_split(tmp_path, capsys, p, dim):
+    # (p^dim - 1) / (p - 1) lines is past _LINE_LIMIT, so no draw can
+    # certify; a split needs only one proper spin, found on revisiting
+    doc = _big_kernel_doc(p, dim)
+    assert (p ** dim - 1) // (p - 1) > _LINE_LIMIT
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    group = sp.build_group([sp.Mat(sp.make_field(p), g)
+                            for g in doc["generators"]])
+    rep = sp.paired_rep(group, [sp.Mat(group.field, m)
+                                for m in doc["modules"][0]["images"]])
+    for seed in range(4):
+        res = sp.is_irreducible(rep, seed=seed)
+        assert res.verdict == "split"
+        assert "lines_checked" not in res.certificate
+        assert res.certificate["kernel_dim"] == dim
+        # theta is 0, and the first vector of ker theta's basis splits
+        vec = res.certificate["primal_vector"]
+        assert sorted(vec) == [0] * (dim - 1) + [1]
+        assert 1 <= res.draws <= meataxe._DEFAULT_BUDGET
+        assert 1 <= res.sub_rep.dim < dim
+        assert hom_defect_count(res.sub_rep) == 0
+        assert cli.main(["check", "--input", str(path),
+                         "--seed", str(seed)]) == 1
+    capsys.readouterr()
+
+
+def test_dual_side_split_on_sl2_5(load_doc):
+    # on Sym^5 of SL(2,5)'s defining module every kernel line of draw 5
+    # spins to the whole space, and a kernel vector of theta^T does not:
+    # the split is the annihilator of that vector's dual spin
+    group, v, _ = load_doc("sl2_5_gf5")
+    sym5 = sp.sym_power(v, 5)
+    res = sp.is_irreducible(sym5, seed=0)
+    assert (res.verdict, res.draws) == ("split", 5)
+    assert "dual_vector" in res.certificate
+    assert "primal_vector" not in res.certificate
+    assert res.sub_rep.dim == 2
+    dual = _spin(res.certificate["dual_vector"], sp.dual_rep(sym5).gens,
+                 sym5.field, sym5.dim)
+    rows = null_space(dual)
+    assert len(rows) == 2
+    for g in sym5.gens:
+        for row in rows:
+            assert rank(sp.Mat(sym5.field, rows + [mat_vec(g, row)])) == 2
+    assert hom_defect_count(res.sub_rep) == 0
+    sub = sp.simple_submodule(sym5, seed=0)
+    assert sub.dim == 2 and sp.is_irreducible(sub, seed=0).irreducible
 
 
 def test_seed_changes_nothing_about_verdicts(s3, s3_perm, q8):

@@ -114,8 +114,8 @@ def test_molien_over_a_large_prime_field():
 
 
 def test_verify_theorem_s3_sign(s3):
-    _, v, mods = s3
-    [rep] = sp.verify_theorem(v, [("sign", mods["sign"])],
+    _, _, mods = s3
+    [rep] = sp.verify_theorem([("sign", mods["sign"])],
                               sp.VerifyOptions(k_max=1))
     assert rep.splitting_degree == 1
     assert rep.irreducible_draws == 0
@@ -127,8 +127,8 @@ def test_verify_theorem_s3_sign(s3):
 
 
 def test_verify_theorem_modular_case(sl23):
-    _, v, mods = sl23
-    [rep] = sp.verify_theorem(v, [("defining", mods["defining"])],
+    _, _, mods = sl23
+    [rep] = sp.verify_theorem([("defining", mods["defining"])],
                               sp.VerifyOptions(k_max=0))
     assert rep.molien_ok is None  # characteristic divides the group order
     assert rep.sub_claim.degree == 23
@@ -139,27 +139,39 @@ def test_verify_theorem_modular_case(sl23):
 
 def test_verify_theorem_non_absolute_case(c3_gf2):
     _, w = c3_gf2
-    [rep] = sp.verify_theorem(w, [("w", w)], sp.VerifyOptions(k_max=0))
+    [rep] = sp.verify_theorem([("w", w)], sp.VerifyOptions(k_max=0))
     assert rep.splitting_degree == 2
     assert rep.sub_claim is not rep.quot_claim
     assert rep.sub_claim.degree == 2 and rep.quot_claim.degree == 2
     assert rep.table.minimal_sub_m == 1
 
 
+def test_verify_theorem_scans_the_groups_own_module():
+    # C3 = <[[2]]> over GF(7) has the faithful modules <[[2]]> and <[[4]]>;
+    # V is always the defining one, whose certificates assemble builds, so
+    # chi1 = V itself certifies at degree 1 and the base-field rows agree
+    F = sp.make_field(7)
+    group = sp.build_group([sp.Mat(F, [[2]])])
+    chi1 = sp.paired_rep(group, [sp.Mat(F, [[2]])])
+    [rep] = sp.verify_theorem([("chi1", chi1)], sp.VerifyOptions(k_max=1))
+    assert rep.sub_claim.degree == rep.quot_claim.degree == 1
+    assert rep.table.rows[0] == (1, 1, 1)
+    assert rep.table.minimal_sub_m == rep.table.minimal_quot_m == 1
+
+
 def test_verify_theorem_rejects_reducible(s3_perm):
-    group, perm = s3_perm
-    v = sp.defining_rep(group)
+    _, perm = s3_perm
     # a reducible module has no guaranteed occurrence, so no report
-    assert sp.verify_theorem(v, [("perm", perm)]) == [None]
+    assert sp.verify_theorem([("perm", perm)]) == [None]
 
 
 def test_molien_options_flow(s3):
-    _, v, mods = s3
-    [rep] = sp.verify_theorem(v, [("trivial", mods["trivial"])],
+    _, _, mods = s3
+    [rep] = sp.verify_theorem([("trivial", mods["trivial"])],
                               sp.VerifyOptions(k_max=0, molien="off"))
     assert rep.molien_ok is None
     assert rep.table.molien_multiplicities is None
-    [rep_on] = sp.verify_theorem(v, [("trivial", mods["trivial"])],
+    [rep_on] = sp.verify_theorem([("trivial", mods["trivial"])],
                                  sp.VerifyOptions(k_max=0, molien="on"))
     assert rep_on.molien_ok is True
     assert rep_on.table.molien_multiplicities == [0, 1, 1, 1, 1, 2]
@@ -204,7 +216,7 @@ def test_degrees_beyond_the_scan_are_built_once_per_document(monkeypatch,
     built, real = [], sp.scan.sym_power
     monkeypatch.setattr(sp.scan, "sym_power",
                         lambda v, m: built.append(m) or real(v, m))
-    reports = sp.verify_theorem(v, modules,
+    reports = sp.verify_theorem(modules,
                                 sp.VerifyOptions(k_max=0, m_max=1))
     assert [r.sub_claim.degree for r in reports] == [6, 6, 6, 6, 7]
     assert built == [6, 7]
@@ -302,7 +314,7 @@ def test_shared_tables_match_per_module_scans_over_the_corpus(load_doc):
     for path in sorted(PROBLEMS.glob("*.json")):
         group, v, modules = load_doc(path.stem)
         opts = sp.VerifyOptions(m_max=min(group.order, 12))
-        tables = sp.scan.scan_modules(v, modules, opts)
+        tables = sp.scan.scan_modules(modules, opts)
         assert len(tables) == len(modules)
         for (label, w), table in zip(modules, tables):
             alone = sp.occurrence_scan(v, w, opts.m_max)
