@@ -27,7 +27,7 @@ which serialize basis elements, do not depend on the solver.
 
 from __future__ import annotations
 
-from .linalg import (Mat, _eliminate, _row_ops, mat_inv, mat_mul, mat_vec,
+from .linalg import (Mat, _row_ops, mat_inv, mat_mul, mat_vec, null_space,
                      rref, transpose)
 from .reps import Rep
 
@@ -37,10 +37,13 @@ def _spin(field, pairs, nu: int, nv: int, labels=None):
     (a, transpose(b)) in pairs: (k, B, ts), k its dimension, B the rows
     b_i and ts[i] T_i, kept as its k columns, rows of linalg's row form
     from seed to cut.  An image b T_j combines nv rows and reduce updates
-    it at most nu times, so its slots never need renormalizing.  Seed s
-    opens the target coordinates whose label (in labels[1]) is s's."""
+    it at most nu times, so its slots never need renormalizing.  A
+    relation's k columns, unpacked, make an nv x k matrix; its cut is
+    that matrix's null_space, and each T_i's columns are recombined by
+    that basis.  Seed s opens the target coordinates whose label (in
+    labels[1]) is s's."""
     ops = _row_ops(field, nv + nu, nv)
-    pack, unpack, _, sub, scale, combs, _, _, unit, cat = ops
+    pack, unpack, _, sub, scale, combs, _, _, unit = ops
     row_sub, mul, neg, zero = field.row_sub, field.mul, field.neg, ops.zero(nv)
     packed = [(a, pack(bt.rows)) for a, bt in pairs]
     pairs = [(a, bt, combs(bt)) for a, bt in packed]  # a, b^T, T -> b T
@@ -91,16 +94,12 @@ def _spin(field, pairs, nu: int, nv: int, labels=None):
                 if any(w):
                     ts.append(scale(cols, adjoin(w), nv))
                     continue
-                cols = scale(cols, 1, nv)
-                if any(c != zero for c in cols):
-                    # a nonzero relation cuts K to the left kernel of cols:
-                    # the I_k part of the rows of [cols | I_k] that
-                    # eliminate to 0 in cols
-                    aug = [cat(c, unit(i, 1, k), nv)
-                           for i, c in enumerate(cols)]
-                    rk, _ = _eliminate(field, ops, aug, nv, nv + k)
-                    kernel = [y[nv:] for y in unpack(aug[rk:], nv + k)]
-                    k -= rk
+                cols = unpack(cols, nv)
+                if any(map(any, cols)):
+                    # a nonzero relation cuts K to the null space of the
+                    # nv x k matrix whose columns are cols
+                    kernel = null_space(transpose(Mat._new(field, cols)))
+                    k = len(kernel)
                     ts = [scale(combs(t)(kernel), 1, nv) if k else []
                           for t in ts]
                     fresh = None

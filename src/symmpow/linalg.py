@@ -10,8 +10,8 @@ byte.
 sum x_j 2^(32 j) (Kronecker substitution), so x - f*y is x + (p - f)*y, one
 big-int multiply-add in C.  Slots stay unreduced until a pivot search reads
 one mod p or a row is unpacked.  An update by a reduced row adds at most
-(p - 1)^2 to a slot, so an elimination renormalizes (reduces and repacks)
-its rows every (2^32 - p) // (p - 1)^2 pivot steps (64 at p = 8191), before
+(p - 1)^2 to a slot, so ``rref`` renormalizes (reduces and repacks) its
+rows every (2^32 - p) // (p - 1)^2 pivot steps (64 at p = 8191), before
 a slot could carry into the next: simultaneous modular reduction (Dumas,
 Fousse and Salvy, J. Symbolic Comput. 46, 2011), packed as the C MeatAxe
 packs rows.  Extension fields, p with no room for (p - 1)^2 in a slot,
@@ -52,17 +52,15 @@ def _slots(xs, n: int) -> list:
             for x in xs]
 
 
-# Row operations of one row form, on lists of rows except sub, zero, unit
-# and cat: pack and unpack(xs, n) convert n-wide code lists and rows;
+# Row operations of one row form, on lists of rows except sub, zero and
+# unit: pack and unpack(xs, n) convert n-wide code lists and rows;
 # column(xs, j) is entry j of each, reduced; sub(x, f, y, start) is x - f*y
 # for y zero left of start; scale(xs, s, n) is each s*x, reduced; combs(ys)
 # is the map from coefficient rows to their combinations sum(c*y) over ys;
-# zero(n) is the n-wide zero row, unit(j, f, n) the n-wide row f e_j, and
-# cat(x, y, n) the n-wide row x followed by the row y.  A reduced row takes
-# room updates by reduced rows, a combination of t rows counting as t,
-# before scale by 1.
-_Ops = namedtuple("_Ops", "pack unpack column sub scale combs room zero unit "
-                          "cat")
+# zero(n) is the n-wide zero row and unit(j, f, n) the n-wide row f e_j.  A
+# reduced row takes room updates by reduced rows, a combination of t rows
+# counting as t, before scale by 1.
+_Ops = namedtuple("_Ops", "pack unpack column sub scale combs room zero unit")
 
 
 def _packed_ops(p: int) -> _Ops:
@@ -83,7 +81,7 @@ def _packed_ops(p: int) -> _Ops:
 
     return _Ops(_pack, unpack, column, sub, scale, combs,
                 (_SLOT_MAX - (p - 1)) // (p - 1) ** 2, lambda n: 0,
-                lambda j, f, n: f << 32 * j, lambda x, y, n: x | y << 32 * n)
+                lambda j, f, n: f << 32 * j)
 
 
 def _list_ops(field: FieldSpec) -> _Ops:
@@ -112,8 +110,7 @@ def _list_ops(field: FieldSpec) -> _Ops:
         return [0] * j + [f] + [0] * (n - j - 1)
 
     return _Ops(list, lambda xs, n: xs, lambda xs, j: [x[j] for x in xs],
-                sub, scale, combs, sys.maxsize, lambda n: [0] * n, unit,
-                lambda x, y, n: x + y)
+                sub, scale, combs, sys.maxsize, lambda n: [0] * n, unit)
 
 
 _OPS: dict = {}  # (packed or None, list) ops, by p for GF(p), else by field
@@ -130,37 +127,6 @@ def _row_ops(field: FieldSpec, terms: int, width: int) -> _Ops:
     if packed and width >= _PACK_MIN_WIDTH and terms <= packed.room:
         return packed
     return listed
-
-
-def _eliminate(field: FieldSpec, ops: _Ops, rows: list, ncols: int,
-               width: int):
-    """Gauss-Jordan, in place, on width-wide rows of ops's form, pivoting
-    in columns < ncols only.  Returns (rank, pivot columns)."""
-    column, sub, scale, inv = ops.column, ops.sub, ops.scale, field.inv
-    nrows = len(rows)
-    pivots = []
-    r = steps = 0  # a row takes at most one update per pivot step
-    for c in range(ncols):
-        col = column(rows, c)
-        for i in range(r, nrows):
-            if col[i]:
-                break
-        else:
-            continue
-        if steps == ops.room:
-            rows[:], steps = scale(rows, 1, width), 0
-        pr, = scale([rows[i]], inv(col[i]), width)
-        rows[i], col[i] = rows[r], col[r]
-        rows[r], col[r] = pr, 0
-        for i, f in enumerate(col):
-            if f:
-                rows[i] = sub(rows[i], f, pr, c)
-        steps += 1
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
 
 
 class Mat:
@@ -242,10 +208,32 @@ def rref(a: Mat):
     Returns (R, rank, pivot_columns).  The pivot in each column is the first
     nonzero entry scanning rows top down, which fixes the output uniquely.
     """
-    field, n = a.field, a.ncols
-    ops = _row_ops(field, 1, min(a.nrows, n))  # few rows gain nothing
+    field, n, nrows = a.field, a.ncols, a.nrows
+    ops = _row_ops(field, 1, min(nrows, n))  # few rows gain nothing
+    column, sub, scale, inv = ops.column, ops.sub, ops.scale, field.inv
     rows = ops.pack(a.rows)
-    r, pivots = _eliminate(field, ops, rows, n, n)
+    pivots = []
+    r = steps = 0  # a row takes at most one update per pivot step
+    for c in range(n):
+        col = column(rows, c)
+        for i in range(r, nrows):
+            if col[i]:
+                break
+        else:
+            continue
+        if steps == ops.room:
+            rows, steps = scale(rows, 1, n), 0
+        pr, = scale([rows[i]], inv(col[i]), n)
+        rows[i], col[i] = rows[r], col[r]
+        rows[r], col[r] = pr, 0
+        for i, f in enumerate(col):
+            if f:
+                rows[i] = sub(rows[i], f, pr, c)
+        steps += 1
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
     return Mat._new(field, ops.unpack(rows, n)), r, tuple(pivots)
 
 
