@@ -152,6 +152,21 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
     for i, doc in enumerate(cases):
         path = write_doc(tmp_path, doc, f"bad{i}.json")
         assert run(["check", "--input", path]) == 2, doc
+    # each with the message it exits on
+    one = [{"label": "w", "images": [[[1]]]}]
+    for doc, message in (
+            ([S3_DOC], "document must be a JSON object"),
+            (dict(S3_DOC, options=[1]), '"options" must be an object'),
+            (dict(S3_DOC, generators=[[[1, 0], [0, 1]], [[1]]]),
+             "generators[1]: size differs from generators[0]"),
+            (dict(S3_DOC, modules=[{"label": "w",
+                                    "images": [[[1]], [[1, 0], [0, 1]]]}]),
+             "modules[0].images[1]: size differs from the first"),
+            (dict(S3_DOC, generators=[[[0, 0], [0, 0]]], modules=one),
+             "invalid generators: singular generator")):
+        capsys.readouterr()
+        assert run(["check", "--input", write_doc(tmp_path, doc)]) == 2, doc
+        assert message in capsys.readouterr().err, doc
     # flags are validated after they are merged into the options
     good = write_doc(tmp_path, S3_DOC, "good.json")
     assert run(["scan", "--input", good, "--m-max", "-3"]) == 2

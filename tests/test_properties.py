@@ -263,7 +263,8 @@ def _direct_sum(reps):
 # Pairs whose larger side has dimension >= 9, so that the spin solver packs
 # its rows: Sym^m of SL(2, 3) over GF(3) at m = 8..10 and of the signed
 # permutation group B3 over GF(7) at m = 3, 4.  Sym^2 + k + k is not
-# cyclic (k + k is not), so its spin needs more than one seed.
+# cyclic (k + k is not), so its spin needs more than one seed.  The same
+# solves over GF(9) keep list rows: the wide extension-field case.
 F3 = sp.make_field(3)
 SL23 = sp.build_group([Mat(F3, [[1, 1], [0, 1]]), Mat(F3, [[1, 0], [1, 1]])])
 SL23_SYM = {m: sp.sym_power(sp.defining_rep(SL23), m)
@@ -282,6 +283,9 @@ PACKED_HOM_PAIRS = {
                        (B3_SYM[2], B3_SYM[4])],
     "K cut to 0": [(SL23_SYM[1], SL23_SYM[8]), (SL23_SEEDS, SL23_SYM[9]),
                    (B3_SYM[0], B3_SYM[3]), (SL23_SYM[9], SL23_SEEDS)],
+    "list rows over GF(9)": [
+        tuple(sp.extend_scalars(SL23_SYM[m], 2) for m in ms)
+        for ms in ((10, 2), (9, 1), (2, 8), (1, 9))],
 }
 
 
