@@ -81,7 +81,7 @@ def find_generic_vector(group: GroupData):
     for e in range(1, _MAX_EXTENSION_SWEEP + 1):
         ext_rep = extend_scalars(v_rep, e)
         ext = ext_rep.field
-        images = [ext_rep.images[i] for i in noncentral]
+        images = list(word_images(ext_rep, noncentral).values())
         # genericity is a property of the line, and the lex-first vector
         # of a line has leading coordinate 1, so only those are tried; in
         # coordinate-lex order a later leading 1 comes first, and its tail
@@ -103,7 +103,8 @@ def build_coset_products(v, v_rep: Rep):
     product B of all N forms.  F_c is the product of the forms before c
     times that of the forms after c: O(N) products for all N."""
     group, field = v_rep.group, v_rep.field
-    lines = [poly_from_vector(field, mat_vec(v_rep.images[h], list(v)))
+    images = word_images(v_rep, group.transversal)
+    lines = [poly_from_vector(field, mat_vec(images[h], list(v)))
              for h in group.transversal]
     prefix = [poly_one(field, v_rep.dim)]
     for line in lines:
@@ -243,8 +244,8 @@ def assemble(w: Rep, k_max: int = 0,
     powers = [poly_pow(f_c, j) for f_c in coset_products]
     _require(flags, "coset_powers_independent", check_independence(powers))
     orbit_product = reduce(poly_mul, (
-        poly_from_vector(field, mat_vec(v_rep.images[g], list(v_t)))
-        for g in range(order)))
+        poly_from_vector(field, mat_vec(g, list(v_t)))
+        for g in word_images(v_rep, range(order)).values()))
 
     tail = (poly_pow(transversal_product, t) if t >= 1
             else orbit_product if central else None)

@@ -147,28 +147,17 @@ def center_scalars(group: GroupData):
 
     Reads the group's field and elements and returns (z_indices,
     z_generator_index, lam); the GroupData constructor calls it.  The
-    distinguished generator is the scalar element whose scalar has maximal
-    multiplicative order, ties broken by lowest element index; lam is that
-    scalar.  The scalars form a cyclic group, so the maximal order equals
-    the subgroup size.
+    scalars form a cyclic group, so its generators are its elements of
+    maximal order, order |Z|: the distinguished generator is the first of
+    them by element index, and lam is its scalar.
     """
-    field = group.field
-    z_indices = []
-    scalars = []
-    for idx, m in enumerate(group.elements):
-        c = scalar_of(m)
-        if c is not None:
-            z_indices.append(idx)
-            scalars.append(c)
-    best = None
-    for idx, c in zip(z_indices, scalars):
-        d = mult_order(field, c)
-        if best is None or d > best[0]:
-            best = (d, idx, c)
-    order, z_gen, lam = best
-    if order != len(z_indices):
-        raise ArithmeticError("scalar subgroup is not cyclic of its size")
-    return z_indices, z_gen, lam
+    z_indices = [idx for idx, m in enumerate(group.elements)
+                 if scalar_of(m) is not None]
+    for idx in z_indices:
+        lam = group.elements[idx].rows[0][0]
+        if mult_order(group.field, lam) == len(z_indices):
+            return z_indices, idx, lam
+    raise ArithmeticError("scalar subgroup is not cyclic of its size")
 
 
 def coset_transversal(group: GroupData):

@@ -3,10 +3,11 @@
 Conventions that every downstream module relies on:
 
 * A ``Rep`` stores one image matrix per generator, in the order of
-  ``group.generators``.  The per-element images, indexed by the group's
-  element indices, are multiplied out along the group's first-word tree
-  (``group.parents``) on first access, and every other edge is checked.
-  Images act on coordinate column vectors from the left.
+  ``group.generators``, and nothing per element.  ``word_images``
+  multiplies out the images of the elements a caller names, along the
+  group's first-word tree (``group.parents``); only ``paired_rep``, for
+  outside input, checks the other edges.  Images act on coordinate
+  column vectors from the left.
 * Degree-m monomials in n variables are ordered by decreasing
   lexicographic order on exponent vectors (for n = 2, m = 2 that is
   x1^2, x1 x2, x2^2).  A degree-m polynomial is the coefficient vector
@@ -139,19 +140,15 @@ class Rep:
     scalar data attached to the group is carried into it by
     :func:`symmpow.fields.field_embedding` where it is consumed.
 
-    ``images`` holds one image per group element; it is built on first
-    access by multiplying along ``group.parents`` from the identity, and
-    every other edge of ``group.edges`` is checked, so two words reaching
-    the same element must give equal matrices.  A mismatch raises
-    NotARepresentation.  Generators determine the whole action, so
-    stability and intertwining checks run on ``gens``; ``images`` is for
-    the arguments that are per-element by nature.  ``eigen`` is None, or
-    (h, labels) for images written in a joint eigenbasis of the images of
-    h and of the scalar generator z, labels[i] the pair of their
-    eigenvalues on coordinate i.
+    Generators determine the whole action, so stability and intertwining
+    checks run on ``gens``; the arguments that are per-element by nature
+    read the elements they need through :func:`word_images`.  ``eigen``
+    is None, or (h, labels) for images written in a joint eigenbasis of
+    the images of h and of the scalar generator z, labels[i] the pair of
+    their eigenvalues on coordinate i.
     """
 
-    __slots__ = ("group", "field", "dim", "gens", "eigen", "_images")
+    __slots__ = ("group", "field", "dim", "gens", "eigen")
 
     def __init__(self, group: GroupData, gens, eigen=None):
         gens = list(gens)
@@ -162,24 +159,6 @@ class Rep:
         self.field = gens[0].field
         self.dim = gens[0].nrows
         self.eigen = eigen
-        self._images = None
-
-    @property
-    def images(self):
-        if self._images is None:
-            parents, gens = self.group.parents, self.gens
-            images = [identity(self.field, self.dim)]
-            for i, k in parents[1:]:
-                images.append(mat_mul(images[i], gens[k]))
-            for i, row in enumerate(self.group.edges):
-                for k, j in enumerate(row):
-                    if (parents[j] != (i, k)
-                            and mat_mul(images[i], gens[k]) != images[j]):
-                        raise NotARepresentation(
-                            "generator images are inconsistent: two words "
-                            f"for group element {j} yield different matrices")
-            self._images = images
-        return self._images
 
     def __repr__(self):
         return (f"Rep(dim={self.dim}, field={self.field!r}, "
@@ -188,32 +167,37 @@ class Rep:
 
 def word_images(r: Rep, indices) -> dict:
     """{j: image of element j} for j in indices, each the product of the
-    generator images along j's first word in group.parents, as Rep.images
-    builds it, with no other edge checked."""
-    parents, images = r.group.parents, {0: identity(r.field, r.dim)}
-
-    def image(j):
-        if j not in images:
-            i, k = parents[j]
-            images[j] = mat_mul(image(i), r.gens[k])
-        return images[j]
-    return {j: image(j) for j in indices}
+    generator images along j's first word in group.parents: walk up to
+    the nearest element already built, then multiply back down.  No other
+    edge is checked (see paired_rep)."""
+    parents, gens = r.group.parents, r.gens
+    images, out = {0: identity(r.field, r.dim)}, {}
+    for j in indices:
+        path, i = [], j
+        while i not in images:
+            path.append(i)
+            i = parents[i][0]
+        for i in reversed(path):
+            p, k = parents[i]
+            images[i] = mat_mul(images[p], gens[k])
+        out[j] = images[j]
+    return out
 
 
 def defining_rep(group: GroupData) -> Rep:
     """The representation whose images are the group elements themselves."""
-    rep = Rep(group, group.generators)
-    rep._images = group.elements
-    return rep
+    return Rep(group, group.generators)
 
 
 def paired_rep(group: GroupData, gen_images) -> Rep:
     """The representation with the given generator images, certified.
 
-    Shapes and fields are validated, then the per-element images are
-    replayed (see ``Rep.images``), which checks every edge of the group's
-    edge table.  Success certifies the homomorphism property; a mismatch
-    raises NotARepresentation.
+    Shapes and fields are validated, then one pass over the group's edge
+    table in row order multiplies out every element's image: the first
+    edge to reach an element, its ``group.parents`` edge, sets the image,
+    and every later edge must reproduce it.  Success certifies the
+    homomorphism property; a mismatch raises NotARepresentation.  The
+    images are dropped; the Rep keeps the generator images only.
     """
     gen_images = list(gen_images)
     if len(gen_images) != len(group.generators):
@@ -224,9 +208,17 @@ def paired_rep(group: GroupData, gen_images) -> Rep:
             raise ValueError("generator images must be square of equal size")
         if m.field != group.field:
             raise ValueError("generator images must live over the group field")
-    rep = Rep(group, gen_images)
-    rep.images  # the replay checks every edge
-    return rep
+    images = [identity(group.field, dim)] + [None] * (group.order - 1)
+    for i, row in enumerate(group.edges):
+        for k, j in enumerate(row):
+            image = mat_mul(images[i], gen_images[k])
+            if images[j] is None:
+                images[j] = image
+            elif image != images[j]:
+                raise NotARepresentation(
+                    "generator images are inconsistent: two words "
+                    f"for group element {j} yield different matrices")
+    return Rep(group, gen_images)
 
 
 def _linear_forms(m: Mat):
@@ -366,7 +358,8 @@ def restrict_scalar_character(w: Rep):
     when its image is not scalar.
     """
     group = w.group
-    c = scalar_of(w.images[group.z_generator_index])
+    z = group.z_generator_index
+    c = scalar_of(word_images(w, [z])[z])
     if c is None:
         return False, None
     lam_here = field_embedding(group.field, w.field)[group.lam]

@@ -48,7 +48,7 @@ from .homs import hom_dim
 from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
 from .meataxe import is_irreducible, simple_quotient, splitting_extension
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
-                   extend_scalars, sym_power, sym_powers)
+                   extend_scalars, sym_power, sym_powers, word_images)
 
 
 class OccurrenceTable(NamedTuple):
@@ -68,17 +68,22 @@ def _scan_one(sym: Rep, w: Rep, m: int):
 def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
     """r as P^-1 r(g) P, the columns of P joint eigenvectors of r(h) and
     r(z) in order of their eigenvalue pairs (omega^t, zeta^s), t < d =
-    ord(h), s < |Z|, zeta = root_of_unity(|Z|), and labelled by them."""
+    ord(h), zeta = root_of_unity(|Z|) and zeta^s an eigenvalue of r(z),
+    and labelled by them."""
     field, group, cols, labels = r.field, r.group, [], []
-    n = group.center_order
+    n, z = group.center_order, group.z_generator_index
     zeta = root_of_unity(field, n)
-    hz = (r.images[h].rows, r.images[group.z_generator_index].rows)
-    for pair in product([field.pow(omega, t) for t in range(d)],
-                        [field.pow(zeta, s) for s in range(n)]):
-        cols += (vecs := null_space(Mat._new(field, [
-            [field.sub(a, x) if i == j else a for j, a in enumerate(row)]
-            for rows, x in zip(hz, pair) for i, row in enumerate(rows)])))
-        labels += [pair] * len(vecs)
+    images = word_images(r, [h, z])
+
+    def shifted(g, x):  # the rows of r(g) - x I
+        return [[field.sub(a, x) if i == j else a for j, a in enumerate(row)]
+                for i, row in enumerate(images[g].rows)]
+    zetas = [x for x in (field.pow(zeta, s) for s in range(n))
+             if null_space(Mat._new(field, shifted(z, x)))]
+    for x, y in product([field.pow(omega, t) for t in range(d)], zetas):
+        cols += (vecs := null_space(Mat._new(field, shifted(h, x)
+                                             + shifted(z, y))))
+        labels += [(x, y)] * len(vecs)
     p_inv = mat_inv(p := transpose(Mat._new(field, cols)))
     return Rep(group, [mat_mul(mat_mul(p_inv, g), p) for g in r.gens],
                (h, labels))
@@ -198,13 +203,15 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     # an element of Z[x]/(x^L - 1) is its coefficient list, and the
     # product with the monomial x^t is the rotation a[-t:] + a[:-t]
     totals = [[0] * L for _ in range(m_max + 1)]
+    v_images = word_images(v, [g for g, _ in classes])
+    w_images = word_images(w, [group.inverse[g] for g, _ in classes])
     for (g, size), d in zip(classes, orders):
         h = [[1] + [0] * (L - 1)] + [[0] * L for _ in range(m_max)]
-        for t in eigen_exponents(v.images[g], d):
+        for t in eigen_exponents(v_images[g], d):
             for m in range(1, m_max + 1):
                 prev = h[m - 1]
                 h[m] = [a + b for a, b in zip(h[m], prev[-t:] + prev[:-t])]
-        for t in eigen_exponents(w.images[group.inverse[g]], d):
+        for t in eigen_exponents(w_images[group.inverse[g]], d):
             for m, hm in enumerate(h):
                 totals[m] = [a + size * b for a, b in
                              zip(totals[m], hm[-t:] + hm[:-t])]

@@ -14,8 +14,13 @@ from symmpow.fields import _prime_factors
 from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rank, rref
 from symmpow.reps import (PolyVec, Rep, defining_rep, extend_scalars,
                           monomial_basis, poly_mul, poly_one, poly_pow,
-                          sym_power)
+                          sym_power, word_images)
 from symmpow.scan import _cyclotomic, _poly_divmod
+
+
+def element_images(r: Rep) -> list:
+    """The image of every group element, in element-index order."""
+    return list(word_images(r, range(r.group.order)).values())
 
 
 def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
@@ -31,7 +36,7 @@ def apply_to_poly(g_index: int, p: PolyVec, v: Rep) -> PolyVec:
         raise ValueError("field mismatch")
     field = v.field
     n = v.dim
-    image = v.images[g_index]
+    image = word_images(v, [g_index])[g_index]
     basis1 = monomial_basis(n, 1)
     forms = [PolyVec(field, basis1, [image.rows[r][i] for r in range(n)])
              for i in range(n)]
@@ -55,11 +60,11 @@ def hom_defect_count(r: Rep) -> int:
 
     Exhaustive over all pairs of group elements.
     """
-    group = r.group
+    group, images = r.group, element_images(r)
     bad = 0
     for a in range(len(group.elements)):
         for b in range(len(group.elements)):
-            if mat_mul(r.images[a], r.images[b]) != r.images[group.prod(a, b)]:
+            if mat_mul(images[a], images[b]) != images[group.prod(a, b)]:
                 bad += 1
     return bad
 
@@ -296,14 +301,15 @@ def molien_by_elements(v: Rep, w: Rep, m_max: int):
     # an element of Z[x]/(x^L - 1) is its coefficient list, and the
     # product with the monomial x^t is the rotation a[-t:] + a[:-t]
     totals = [[0] * L for _ in range(m_max + 1)]
+    v_images, w_images = element_images(v_ext), element_images(w_ext)
     for g in range(order):
         h = [[1] + [0] * (L - 1)] + [[0] * L for _ in range(m_max)]
-        for t in eigen_exponents(v_ext.images[g], orders[g]):
+        for t in eigen_exponents(v_images[g], orders[g]):
             for m in range(1, m_max + 1):
                 prev = h[m - 1]
                 h[m] = [a + b for a, b in zip(h[m], prev[-t:] + prev[:-t])]
         gi = group.inverse[g]
-        for t in eigen_exponents(w_ext.images[gi], orders[gi]):
+        for t in eigen_exponents(w_images[gi], orders[gi]):
             for m, hm in enumerate(h):
                 totals[m] = [a + b for a, b in
                              zip(totals[m], hm[-t:] + hm[:-t])]

@@ -1,6 +1,7 @@
 """Group enumeration, scalar center, and coset structure."""
 
 import pathlib
+import random
 from collections import Counter
 
 import pytest
@@ -124,6 +125,29 @@ def test_non_invertible_generator_rejected():
     F = sp.make_field(7)
     with pytest.raises(ValueError):
         sp.build_group([sp.Mat(F, [[1, 1], [1, 1]])])
+
+
+def test_center_generator_is_the_least_index_of_maximal_scalar_order():
+    # the rule before scalars were known to be cyclic: the scalar element
+    # of maximal multiplicative order, ties broken by lowest index
+    rng = random.Random(0)
+    checked = 0
+    while checked < 30:
+        F = sp.make_field(rng.choice([2, 3, 5, 7, 11, 13]))
+        gens = [sp.Mat(F, [[rng.randrange(F.q) for _ in range(2)]
+                           for _ in range(2)])
+                for _ in range(rng.choice([1, 2]))]
+        try:
+            group = sp.build_group(gens, cap=500)
+        except (ValueError, sp.CapExceeded):  # singular, or too large
+            continue
+        scalars = [(i, m.rows[0][0]) for i, m in enumerate(group.elements)
+                   if sp.groups.scalar_of(m) is not None]
+        best = max(scalars, key=lambda ic: (sp.mult_order(F, ic[1]), -ic[0]))
+        assert [i for i, _ in scalars] == group.z_indices
+        assert (group.z_generator_index, group.lam) == best
+        assert sp.mult_order(F, group.lam) == group.center_order
+        checked += 1
 
 
 # class counts: S3, Q8, SL(2,3), SL(2,5), then the benchmark's B3 and

@@ -13,7 +13,8 @@ from symmpow.linalg import (Mat, identity, mat_inv, mat_mul, mat_vec, rank,
                             transpose)
 from symmpow.reps import _sym_image
 
-from oracles import apply_to_poly, hom_defect_count, poly_mul_by_exponents
+from oracles import (apply_to_poly, element_images, hom_defect_count,
+                     poly_mul_by_exponents)
 
 
 def test_monomial_basis_order():
@@ -41,46 +42,48 @@ def test_monomial_basis_order():
 
 def test_sym_power_small_cases(s3):
     group, v, _ = s3
-    assert sp.sym_power(v, 1).images == v.images
+    assert element_images(sp.sym_power(v, 1)) == element_images(v)
     s0 = sp.sym_power(v, 0)
     assert s0.dim == 1
-    assert all(im.rows == [[1]] for im in s0.images)
+    assert all(im.rows == [[1]] for im in element_images(s0))
     s2 = sp.sym_power(v, 2)
     assert s2.dim == 3
     assert hom_defect_count(s2) == 0
     # swap generator: x -> y, y -> x sends x^2 -> y^2, xy -> xy
-    swap = s2.images[group.index[group.generators[0].key()]]
+    swap = element_images(s2)[group.index[group.generators[0].key()]]
     assert swap.rows == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
 def test_sym_square_golden_sl2_3(sl23):
     group, v, mods = sl23
     s2 = sp.sym_power(v, 2)
-    a = s2.images[group.generator_indices[0]]
-    b = s2.images[group.generator_indices[1]]
+    images = element_images(s2)
+    a = images[group.generator_indices[0]]
+    b = images[group.generator_indices[1]]
     assert a.rows == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
     assert b.rows == [[1, 0, 0], [2, 1, 0], [1, 1, 1]]
     # and the module listed in the suite is exactly this symmetric square
-    assert mods["sym2"].images == s2.images
+    assert element_images(mods["sym2"]) == images
 
 
 def test_sym_power_is_homomorphism_spot(q8):
     group, v, _ = q8
-    s3_ = sp.sym_power(v, 3)
+    images = element_images(sp.sym_power(v, 3))
     for a in range(group.order):
         for b in (0, 3, 5):
             ab = group.prod(a, b)
-            assert mat_mul(s3_.images[a], s3_.images[b]) == s3_.images[ab]
+            assert mat_mul(images[a], images[b]) == images[ab]
 
 
 def test_apply_to_poly_moves_linear_forms(s3):
     group, v, _ = s3
     F = group.field
+    images = element_images(v)
     for g in range(group.order):
         for w in ([1, 0], [0, 1], [2, 5], [3, 3]):
             lin = sp.poly_from_vector(F, w)
             moved = apply_to_poly(g, lin, v)
-            gw = mat_vec(v.images[g], w)
+            gw = mat_vec(images[g], w)
             assert moved == sp.poly_from_vector(F, gw)
 
 
@@ -89,10 +92,10 @@ def test_apply_to_poly_matches_sym_power_matrices(s3):
     F = group.field
     lin = sp.poly_from_vector(F, [1, 2])
     cube = sp.poly_pow(lin, 3)
-    s3m = sp.sym_power(v, 3)
+    images = element_images(sp.sym_power(v, 3))
     for g in range(group.order):
         via_poly = apply_to_poly(g, cube, v)
-        via_matrix = mat_vec(s3m.images[g], cube.coeffs)
+        via_matrix = mat_vec(images[g], cube.coeffs)
         assert list(via_poly.coeffs) == list(via_matrix)
 
 
@@ -131,11 +134,10 @@ def test_dual_rep(q8):
     group, v, _ = q8
     d = sp.dual_rep(v)
     assert hom_defect_count(d) == 0
-    for g in range(group.order):
-        prod = mat_mul(sp.linalg.transpose(d.images[g]), v.images[g])
-        assert prod == identity(group.field, 2)
-    dd = sp.dual_rep(d)
-    assert dd.images == v.images
+    for dg, vg in zip(element_images(d), element_images(v)):
+        assert mat_mul(sp.linalg.transpose(dg), vg) == \
+            identity(group.field, 2)
+    assert element_images(sp.dual_rep(d)) == element_images(v)
 
 
 def test_extend_scalars(s3):
@@ -173,11 +175,12 @@ def test_induced_from_center(q8):
     assert hom_defect_count(ind) == 0
     # the center acts by its character on the induced module
     z = group.z_generator_index
-    assert ind.images[z] == Mat(group.field, [[group.lam if i == j else 0
-                                                for j in range(4)]
-                                               for i in range(4)])
+    images = element_images(ind)
+    assert images[z] == Mat(group.field, [[group.lam if i == j else 0
+                                            for j in range(4)]
+                                           for i in range(4)])
     # monomial shape: one nonzero entry per column
-    for im in ind.images:
+    for im in images:
         for j in range(4):
             col = [im.rows[i][j] for i in range(4)]
             assert sum(1 for c in col if c) == 1
@@ -193,23 +196,24 @@ def test_paired_rep_rejects_non_homomorphism(s3):
 
 
 # Per-element constructions: each builds the image of every group element
-# directly, with no replay through the edge table.  The generator-first
-# reps must replay to exactly these.
+# directly, from the element images of r.  The generator-first reps must
+# multiply out along first words to exactly these.
 
 def _sym_oracle(r, m):
     basis = sp.monomial_basis(r.dim, m)
-    return [_sym_image(g, basis) for g in r.images]
+    return [_sym_image(g, basis) for g in element_images(r)]
 
 
 def _dual_oracle(r):
-    return [transpose(r.images[r.group.inverse[g]])
+    images = element_images(r)
+    return [transpose(images[r.group.inverse[g]])
             for g in range(r.group.order)]
 
 
 def _extend_oracle(r, e):
     ext, table = extend_field(r.field, e)
     return [Mat(ext, [[table[x] for x in row] for row in m.rows])
-            for m in r.images]
+            for m in element_images(r)]
 
 
 def _induced_oracle(group, t):
@@ -229,17 +233,21 @@ def _induced_oracle(group, t):
 
 def test_replayed_images_match_per_element_constructions(s3, q8, sl23):
     for group, v, mods in (s3, q8, sl23):
-        assert v.images == group.elements
+        assert element_images(v) == group.elements
         for r in [v, *mods.values()]:
             for m in (0, 2, 3):
-                assert sp.sym_power(r, m).images == _sym_oracle(r, m)
-            assert sp.dual_rep(r).images == _dual_oracle(r)
-            assert sp.extend_scalars(r, 2).images == _extend_oracle(r, 2)
-            # the unchecked products along first words are the replay's
-            assert sp.reps.word_images(r, range(group.order)) == dict(
-                enumerate(r.images))
+                assert element_images(sp.sym_power(r, m)) == _sym_oracle(r, m)
+            assert element_images(sp.dual_rep(r)) == _dual_oracle(r)
+            assert element_images(sp.extend_scalars(r, 2)) == \
+                _extend_oracle(r, 2)
+            # a walk in any order, resuming from what it built, reads the
+            # same products as the walk in index order
+            images = element_images(r)
+            backwards = reversed(range(group.order))
+            assert sp.word_images(r, backwards) == dict(
+                reversed(list(enumerate(images))))
         for t in range(group.center_order):
-            assert sp.induced_from_center(group, t).images == \
+            assert element_images(sp.induced_from_center(group, t)) == \
                 _induced_oracle(group, t)
 
 
@@ -276,13 +284,11 @@ def test_sym_powers_match_sym_power(request, name, depth, e):
     assert degrees == depth
 
 
-def test_defining_rep_takes_the_elements_as_images(monkeypatch, load_doc):
-    # the elements are the closure of the generators, so there is nothing
-    # to replay
-    group, _, _ = load_doc("sl2_5_gf5")
-    calls = []
-    monkeypatch.setattr(sp.reps, "mat_mul", lambda *a: calls.append(a))
+def test_word_images_walks_a_first_word_deeper_than_the_recursion_limit():
+    # C_1008 = <11> over GF(1009) is one path in group.parents: element
+    # 1007 is 11^1007, 1007 products below the identity
+    group = sp.build_group([Mat(sp.make_field(1009), [[11]])])
+    assert group.order == 1008
     v = sp.defining_rep(group)
     assert v.gens == group.generators
-    assert v.images == group.elements
-    assert not calls
+    assert sp.word_images(v, [1007]) == {1007: group.elements[1007]}

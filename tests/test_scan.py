@@ -264,7 +264,8 @@ def test_scan_with_a_non_scalar_z_matches_the_unlabelled_scan(q8):
                    + [[0, 0, c.rows[0][0]]])
             for d, c in zip(v.gens, mods["chi_i"].gens)]
     v3 = sp.paired_rep(group, gens)
-    z = v3.images[group.z_generator_index]
+    z = sp.word_images(v3, [group.z_generator_index])[
+        group.z_generator_index]
     assert z.rows == [[4, 0, 0], [0, 4, 0], [0, 0, 1]]
     ws = list(mods.values())
     tables = sp.occurrence_tables(v3, ws, 8)
@@ -397,12 +398,12 @@ EIGEN_ELEMENTS = {"sl2_5_gf5": (4, 2), "q8_gf5": (4, 2), "b3_gf7": (3, 3),
 def _eigenvalue_ratio_order(v, g):
     """The order of the group that the ratios of V(g)'s eigenvalues in F
     generate, the eigenvalues found by trying every field element."""
-    field, n = v.field, v.dim
+    field, n, image = v.field, v.dim, sp.word_images(v, [g])[g]
     lams = [x for x in range(1, field.q)
             if rank(sp.Mat(field, [[field.sub(a, x) if i == j else a
                                     for j, a in enumerate(row)]
-                                   for i, row in enumerate(
-                                       v.images[g].rows)])) < n]
+                                   for i, row in enumerate(image.rows)]))
+            < n]
     inv = field.inv(lams[0])
     return lcm(*(sp.mult_order(field, field.mul(x, inv)) for x in lams))
 
@@ -431,11 +432,26 @@ def test_eigen_element_has_the_most_eigenvalues_on_sym(load_doc):
         assert (d, len(set(sym.eigen[1]))) == expected, name
         # the images of h and z are diagonal in the new basis, with the
         # two parts of the labels on them
+        images = sp.word_images(lv, [h, group.z_generator_index])
         for g, k in ((h, 0), (group.z_generator_index, 1)):
-            assert lv.images[g].rows == [
+            assert images[g].rows == [
                 [lam[k] if i == j else 0 for j in range(v.dim)]
                 for i, lam in enumerate(lv.eigen[1])], name
         assert lv.eigen[0] == h
+
+
+def test_eigen_setup_pairs_only_the_eigenvalues_of_z(monkeypatch):
+    # C_60 = <2> over GF(61) is its own scalar subgroup: every class is
+    # tried for h, and pairing each omega^t with all 60 powers of zeta
+    # took 97,020 null spaces
+    group = sp.build_group([sp.Mat(sp.make_field(61), [[2]])])
+    assert group.order == group.center_order == 60
+    calls = []
+    null_space = sp.scan.null_space
+    monkeypatch.setattr(sp.scan, "null_space",
+                        lambda a: calls.append(a) or null_space(a))
+    assert sp.scan._eigen_element(sp.defining_rep(group)) == (0, 1, 1)
+    assert len(calls) < 10_000
 
 
 def test_eigenbasis_solves_match_plain_solves_in_dense_bases(load_doc):
