@@ -28,16 +28,16 @@ checked by its two witnesses, against Sym^(m + k|G|) itself.  Any failure
 raises TheoremViolation, since each is a proved identity and a failure
 can only mean an implementation bug or a violated precondition.
 
-Central groups (G = Z) run the same steps with one coset: any nonzero v
-works (no generic vector is needed), F_c = 1, the span is the single
-polynomial B^t, or C when t = 0, and the degree rule gives m = t for
-t >= 1 and m = z for t = 0 (the smallest positive degree with the right
-central character).
+As g = h z, h in the transversal and z = lam^k, has g(v) = lam^k h(v),
+C = lam^(N z (z - 1) / 2) B^z.  Central groups (G = Z) run the same
+steps with one coset: v is the sweep's first vector (0, ..., 0, 1),
+F_c = 1, the span is the single polynomial B^t, or C when t = 0, and
+the degree rule gives m = t for t >= 1 and m = z for t = 0 (the
+smallest positive degree with the right central character).
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import lcm
 from typing import NamedTuple
 
@@ -67,21 +67,18 @@ def is_generic_vector(images, v) -> bool:
 
 
 def find_generic_vector(group: GroupData):
-    """First vector (coordinate-lex sweep) whose line no non-central
-    element fixes, extending scalars until one exists.
+    """First vector (coordinate-lex sweep) whose line no element of
+    transversal[1:] fixes, (0, ..., 0, 1) for a central group, extending
+    scalars until one exists; g = h z moves lines as h does.
 
     Returns (v, field).  Termination: once q^e exceeds |G| the union of
     the eigenspaces cannot cover the whole space.
     """
-    if group.center_order == group.order:
-        raise ValueError("group acts by scalars; every vector is fixed")
     n, v_rep = group.dim, defining_rep(group)
-    z_set = set(group.z_indices)
-    noncentral = [i for i in range(group.order) if i not in z_set]
     for e in range(1, _MAX_EXTENSION_SWEEP + 1):
         ext_rep = extend_scalars(v_rep, e)
         ext = ext_rep.field
-        images = list(word_images(ext_rep, noncentral).values())
+        images = list(word_images(ext_rep, group.transversal[1:]).values())
         # genericity is a property of the line, and the lex-first vector
         # of a line has leading coordinate 1, so only those are tried; in
         # coordinate-lex order a later leading 1 comes first, and its tail
@@ -235,17 +232,19 @@ def assemble(w: Rep, k_max: int = 0,
                                f"t={t} j={j} m={m} order={order}")
     check_sym_dim(group.dim, m + k_max * order, cap_dim)
 
-    v, v_field = (((0,) * (group.dim - 1) + (1,), group.field) if central
-                  else find_generic_vector(group))
-    w_ext, v_rep, v_t = _align_to_common_field(group, w, v, v_field)
+    w_ext, v_rep, v_t = _align_to_common_field(group, w,
+                                               *find_generic_vector(group))
     field, flags = v_rep.field, {}
+    lam_ext = field_embedding(group.field, field)[group.lam]
 
     coset_products, transversal_product = build_coset_products(v_t, v_rep)
     powers = [poly_pow(f_c, j) for f_c in coset_products]
     _require(flags, "coset_powers_independent", check_independence(powers))
-    orbit_product = reduce(poly_mul, (
-        poly_from_vector(field, mat_vec(g, list(v_t)))
-        for g in word_images(v_rep, range(order)).values()))
+    # g = h lam^k sends v to lam^k h(v), so C = lam^(N z (z - 1)/2) B^z
+    scale = field.pow(lam_ext, group.coset_count * zn * (zn - 1) // 2)
+    b_z = poly_pow(transversal_product, zn)
+    orbit_product = PolyVec(field, b_z.basis,
+                            [field.mul(scale, c) for c in b_z.coeffs])
 
     tail = (poly_pow(transversal_product, t) if t >= 1
             else orbit_product if central else None)
@@ -259,7 +258,6 @@ def assemble(w: Rep, k_max: int = 0,
     span_images = word_images(span_rep, [group.z_generator_index,
                                          *group.transversal])
 
-    lam_ext = field_embedding(group.field, field)[group.lam]
     _require(flags, "center_character", scalar_of(
         span_images[group.z_generator_index]) == field.pow(lam_ext, t))
 

@@ -15,34 +15,35 @@ document's irreducible modules in one scan_modules call, as the scan
 command does, in Sym^m of their group's defining module V; a certified
 degree beyond the scan is built by sym_power, once per document.
 
-The Molien oracle recomputes the same multiplicities with no shared code
-path beyond field arithmetic, valid when the characteristic does not
-divide the group order.  Eigenvalues of each element are identified as
+The Molien oracle recomputes the same multiplicities, valid when the
+characteristic does not divide the group order.  Of the scan's code it
+shares field arithmetic and _exponents, which there only picks h, and h
+changes no hom dimension.  Eigenvalues of each element are identified as
 powers of one fixed root of unity omega of order L (the lcm of element
 orders) in GF(q^e), and lifted formally to monomials x^t of the ring
-Z[x]/(x^L - 1).  The complete homogeneous sums h_m of one element's
-lifted eigenvalues are built one eigenvalue at a time: for each x^t,
+Z[x]/(x^L - 1).  The complete homogeneous sums h_m of one element's lifted
+eigenvalues are built one eigenvalue at a time: for each x^t,
 h_m += x^t h_{m-1} for m = 1..m_max in increasing order, which multiplies
 the series sum_m h_m T^m by 1 / (1 - x^t T).  Each product with a monomial
-is a rotation of coefficients, so no ring multiplication or division
-occurs.  Pairing with the lifted character of w at g^-1 adds one rotated
-copy of h_m per eigenvalue of w(g^-1).  Both lifted exponent lists are
-class functions, so each conjugacy class adds its representative's term
-times its size, and only representatives are pushed into GF(q^e).  The
-pairing sum must reduce, modulo the L-th cyclotomic polynomial, to a
-constant divisible by |G|; the quotient is the exact integer multiplicity.
+is a rotation of coefficients, so no ring multiplication or division occurs.
+Pairing with the lifted character of w at g^-1 adds one rotated copy of h_m
+per eigenvalue of w(g^-1).  Both lifted exponent lists are class functions,
+so each conjugacy class adds its representative's term times its size, and
+only representatives are pushed into GF(q^e).  The pairing sum must reduce,
+modulo the L-th cyclotomic polynomial, to a constant divisible by |G|; the
+quotient is the exact integer multiplicity.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
-from .fields import extend_field, mult_order, root_of_unity
+from .fields import extend_field, root_of_unity
 from .groups import conjugacy_classes
 from .homs import hom_dim
 from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
@@ -65,6 +66,19 @@ def _scan_one(sym: Rep, w: Rep, m: int):
     return m, hom_dim(w, sym), hom_dim(sym, w)
 
 
+def _shifted(m: Mat, x) -> list:
+    """The rows of m - x I."""
+    return [[m.field.sub(a, x) if i == j else a for j, a in enumerate(row)]
+            for i, row in enumerate(m.rows)]
+
+
+def _exponents(m: Mat, omega, d: int) -> list:
+    """The s < d with omega^s an eigenvalue of m, in increasing order,
+    each as often as its eigenspace's dimension, n - rank(m - omega^s I)."""
+    return [s for s in range(d) for _ in range(m.nrows - rank(Mat._new(
+        m.field, _shifted(m, m.field.pow(omega, s)))))]
+
+
 def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
     """r as P^-1 r(g) P, the columns of P joint eigenvectors of r(h) and
     r(z) in order of their eigenvalue pairs (omega^t, zeta^s), t < d =
@@ -74,15 +88,11 @@ def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
     n, z = group.center_order, group.z_generator_index
     zeta = root_of_unity(field, n)
     images = word_images(r, [h, z])
-
-    def shifted(g, x):  # the rows of r(g) - x I
-        return [[field.sub(a, x) if i == j else a for j, a in enumerate(row)]
-                for i, row in enumerate(images[g].rows)]
     zetas = [x for x in (field.pow(zeta, s) for s in range(n))
-             if null_space(Mat._new(field, shifted(z, x)))]
+             if null_space(Mat._new(field, _shifted(images[z], x)))]
     for x, y in product([field.pow(omega, t) for t in range(d)], zetas):
-        cols += (vecs := null_space(Mat._new(field, shifted(h, x)
-                                             + shifted(z, y))))
+        cols += (vecs := null_space(Mat._new(field, _shifted(images[h], x)
+                                             + _shifted(images[z], y))))
         labels += [(x, y)] * len(vecs)
     p_inv = mat_inv(p := transpose(Mat._new(field, cols)))
     return Rep(group, [mat_mul(mat_mul(p_inv, g), p) for g in r.gens],
@@ -92,17 +102,20 @@ def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
 def _eigen_element(v: Rep):
     """(h, omega, d), omega = root_of_unity(d), d = ord(h) | q - 1, for the
     least class representative h with the most eigenvalues on Sym^m V,
-    the order of the group the ratios of V(h)'s generate; the identity
-    (0, 1, 1) when that is always 1."""
+    the order of the group that the ratios omega^(t - t0), of order
+    d / gcd(d, t - t0), of V(h)'s eigenvalues omega^t generate; the
+    identity (0, 1, 1) when that is always 1."""
     group, field = v.group, v.field
+    candidates = [(h, d) for h, _ in conjugacy_classes(group)
+                  if (field.q - 1) % (d := group.element_order(h)) == 0]
+    images = word_images(v, [h for h, _ in candidates])
 
     def ratios(eigen):
-        lams = [x for x, _ in _in_eigenbasis(v, *eigen).eigen[1]]
-        return lcm(*(mult_order(field, field.mul(x, field.inv(lams[0])))
-                     for x in lams))
-    orders = [(h, group.element_order(h)) for h, _ in conjugacy_classes(group)]
-    return max(((h, root_of_unity(field, d), d) for h, d in orders
-                if (field.q - 1) % d == 0), key=ratios)
+        h, omega, d = eigen
+        t0, *ts = _exponents(images[h], omega, d)
+        return lcm(*(d // gcd(d, t - t0) for t in ts))
+    return max(((h, root_of_unity(field, d), d) for h, d in candidates),
+               key=ratios)
 
 
 def occurrence_tables(v: Rep, ws, m_max: int | None = None,
@@ -185,20 +198,12 @@ def molien_table(v: Rep, w: Rep, m_max: int):
 
     def eigen_exponents(m: Mat, d: int):
         """Exponents t with eigenvalue omega^t, with multiplicity."""
-        n = m.nrows
         rows = [[table[x] for x in row] for row in m.rows]  # into ext
-        exps = []
-        for s in range(d):
-            t = (L // d) * s
-            xi = ext.pow(omega, t)
-            shifted = Mat._new(ext, [[ext.sub(rows[a][b],
-                                              xi if a == b else 0)
-                                      for b in range(n)] for a in range(n)])
-            exps.extend([t] * (n - rank(shifted)))
-        if len(exps) != n:
+        exps = _exponents(Mat._new(ext, rows), ext.pow(omega, L // d), d)
+        if len(exps) != m.nrows:
             raise TheoremViolation("element not diagonalizable in the "
                                    "root-of-unity extension")
-        return exps
+        return [(L // d) * s for s in exps]
 
     # an element of Z[x]/(x^L - 1) is its coefficient list, and the
     # product with the monomial x^t is the rotation a[-t:] + a[:-t]

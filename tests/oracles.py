@@ -13,8 +13,8 @@ from symmpow.errors import TheoremViolation
 from symmpow.fields import _prime_factors
 from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rank, rref
 from symmpow.reps import (PolyVec, Rep, defining_rep, extend_scalars,
-                          monomial_basis, poly_mul, poly_one, poly_pow,
-                          sym_power, word_images)
+                          monomial_basis, poly_from_vector, poly_mul,
+                          poly_one, poly_pow, sym_power, word_images)
 from symmpow.scan import _cyclotomic, _poly_divmod
 
 
@@ -146,6 +146,37 @@ def hom_basis_by_kronecker(field, pairs, nu: int, nv: int):
     vecs = null_space(Mat._new(field, rows))
     return [Mat._new(field, [vec[i * nu:(i + 1) * nu] for i in range(nv)])
             for vec in vecs]
+
+
+def generic_vector_by_elements(group, e_max: int = 8):
+    """(v, field): the first vector in coordinate-lex order over GF(q^e),
+    e = 1, 2, ..., that no non-central element maps onto its own line,
+    tested against every non-central element; every vector passes for a
+    central group.
+
+    ``find_generic_vector`` reads the transversal only, and tries only
+    the lex-first vector of each line.
+    """
+    z_set = set(group.z_indices)
+    for e in range(1, e_max + 1):
+        images = element_images(extend_scalars(defining_rep(group), e))
+        field = images[0].field
+        moving = [m for i, m in enumerate(images) if i not in z_set]
+        for v in product(range(field.q), repeat=group.dim):
+            if any(v) and all(rank(Mat._new(field, [list(v), mat_vec(m, v)]))
+                              == 2 for m in moving):
+                return v, field
+    raise AssertionError("no generic vector within the sweep")
+
+
+def orbit_product_by_elements(cert, group) -> PolyVec:
+    """C of cert: the product over every element g of the linear form of
+    g(v), v the certificate's generic vector.  ``assemble`` reads C off
+    the transversal product B."""
+    v_rep = extend_scalars(defining_rep(group), cert.extension_degree)
+    return reduce(poly_mul, (
+        poly_from_vector(cert.field, mat_vec(g, list(cert.generic_vector)))
+        for g in element_images(v_rep)))
 
 
 def shifted_span_action(cert, group, k: int) -> list:

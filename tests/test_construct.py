@@ -7,11 +7,14 @@ import pytest
 
 import symmpow as sp
 import symmpow.construct as construct
-from symmpow.cli import enc_certificate
+from symmpow.cli import (_build_group, _module_reps, enc_certificate,
+                         parse_problem)
 from symmpow.construct import (build_coset_products, check_independence,
                                find_generic_vector, is_generic_vector)
 
-from oracles import element_images, shifted_span_action
+from oracles import (element_images, generic_vector_by_elements,
+                     orbit_product_by_elements, shifted_span_action)
+from test_report_digests import INLINE_DOCS
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -55,10 +58,36 @@ def test_is_generic_vector_rejects_eigenlines(s3):
     assert not is_generic_vector(images, (1, 3))
 
 
-def test_central_group_has_no_generic_vector(c6):
+def test_central_group_takes_the_first_vector(c6):
+    # no element moves a line, so the sweep stops at its first vector
     group, _, _ = c6
-    with pytest.raises(ValueError):
-        find_generic_vector(group)
+    f7 = sp.make_field(7)
+    assert find_generic_vector(group) == ((1,), f7)
+    scalar = sp.build_group([sp.Mat(f7, [[3, 0], [0, 3]])])
+    assert scalar.order == scalar.center_order == 6
+    assert find_generic_vector(scalar) == ((0, 1), f7)
+
+
+def _inline(name):
+    """(group, defining rep, [(label, module rep)]) of an inline document
+    of test_report_digests."""
+    doc = parse_problem(INLINE_DOCS[name])
+    group = _build_group(doc)
+    return group, sp.defining_rep(group), _module_reps(doc, group)
+
+
+def test_generic_vector_matches_the_element_sweep(load_doc):
+    # s3_gf4 sweeps into GF(16), and the central groups take the first
+    # vector; the oracle tests every non-central element, every vector
+    names = [p.stem for p in sorted(PROBLEMS.glob("*.json"))] + [
+        "b3_gf7", "gl2_3_gf3_defining"]
+    groups = [(name, load_doc(name)[0]) for name in names] + [
+        (name, _inline(name)[0]) for name in sorted(INLINE_DOCS)]
+    assert {name for name, g in groups if g.order == g.center_order} >= {
+        "c3_gf7", "c4_gf5", "c6_gf7", "z2_dim2"}
+    for name, group in groups:
+        assert find_generic_vector(group) == generic_vector_by_elements(
+            group), name
 
 
 def test_coset_products_and_independence(s3):
@@ -164,6 +193,25 @@ def test_assemble_central_group(c6):
         assert cert.central
         assert cert.degree == expected[label], label
         assert all(cert.flags.values())
+
+
+def test_orbit_product_matches_the_element_product(load_doc):
+    # C = lam^(N z (z - 1)/2) B^z: the factor is 1 for c3 (z = 3) and
+    # -1 for c4 (z = 4), c6 (z = 6) and c6_nc (N = 3, z = 2); q8 and
+    # sl2_3 certify over GF(25) and GF(27)
+    docs = [load_doc(p.stem) for p in sorted(PROBLEMS.glob("*.json"))
+            if p.stem != "sl2_5_gf5"] + [_inline(name)
+                                         for name in sorted(INLINE_DOCS)]
+    fields, signed = set(), 0
+    for group, _, modules in docs:
+        for rep in sp.verify_theorem(modules, sp.VerifyOptions(k_max=0)):
+            for cert in (rep.sub_claim, rep.quot_claim):
+                fields.add(cert.field.q)
+                signed += cert.orbit_product != sp.poly_pow(
+                    cert.transversal_product, cert.center_order)
+                assert cert.orbit_product == orbit_product_by_elements(
+                    cert, group)
+    assert {25, 27} <= fields and signed
 
 
 def test_assemble_embedding_witness_is_injective_intertwiner(q8):

@@ -8,10 +8,11 @@ built once at module load.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import symmpow as sp
+from symmpow.fields import root_of_unity
 from symmpow.linalg import (Mat, mat_inv, mat_mul, mat_vec, null_space, rank,
                             rref)
 from symmpow.reps import monomial_basis
@@ -126,6 +127,29 @@ def test_rank_nullity_and_rref_shape(data, nrows, ncols):
     for j, p in enumerate(pivots):
         col = [r.rows[i][p] for i in range(nrows)]
         assert col[j] == 1 and all(x == 0 for i, x in enumerate(col) if i != j)
+
+
+# GF(13) and GF(49): q - 1 = 12 and 48 have several divisors d, and
+# GF(49) keeps list rows
+EIGEN_FIELDS = (sp.make_field(13), sp.make_field(7, 2))
+
+
+@COMMON
+@given(data=st.data(), fi=st.integers(0, len(EIGEN_FIELDS) - 1),
+       n=st.integers(1, 4))
+def test_exponents_of_a_conjugated_diagonal(data, fi, n):
+    F = EIGEN_FIELDS[fi]
+    d = data.draw(st.sampled_from([d for d in range(1, F.q)
+                                   if (F.q - 1) % d == 0]))
+    omega = root_of_unity(F, d)
+    exps = [data.draw(st.integers(0, d - 1)) for _ in range(n)]
+    p = Mat(F, [[data.draw(st.integers(0, F.q - 1)) for _ in range(n)]
+                for _ in range(n)])
+    assume(rank(p) == n)
+    diag = Mat(F, [[F.pow(omega, s) if i == j else 0 for j in range(n)]
+                   for i, s in enumerate(exps)])
+    m = mat_mul(mat_mul(p, diag), mat_inv(p))
+    assert sp.scan._exponents(m, omega, d) == sorted(exps)
 
 
 # GF(2^31 - 1) makes the prime kernels' unreduced sums large ints; it

@@ -8,11 +8,14 @@ of ``bench/inputs.py`` in their shipped bases, are pinned the same way:
 they reach the deepest extension fields (GF(27) certificates and the
 GF(49) Molien oracle).  Two constructs with ``--k-max 2`` (over GF(25)
 and GF(27)) run the shift loop twice: no report records a shift, but a
-failed one changes the exit code.  Two small documents written out below
+failed one changes the exit code.  Four small documents written out below
 pin the construct paths that the corpus misses, where every splitting
 degree is 1 over a prime field: a splitting degree of 2 (``c3_gf2``), and
 a group field with no generic vector, so that the certificate lands over
-a proper extension of a non-prime field (``s3_gf4``).  A refactor that is
+a proper extension of a non-prime field (``s3_gf4``); and two orbit
+products C = lam^(N z (z - 1)/2) B^z that the corpus does not reach, a
+non-central group with N = 3 and z = 2, so a factor of -1 (``c6_nc``),
+and a central group in dimension 2 (``z2_dim2``).  A refactor that is
 meant to leave every answer alone must leave these digests alone.  After
 a deliberate change of output, print the new table with
 
@@ -149,6 +152,22 @@ INLINE_DOCS = {
         "modules": [{"label": "defining", "images": _S3_GF4_GENS},
                     {"label": "trivial", "images": [[[_ONE]], [[_ONE]]]}],
     },
+    "c6_nc": {
+        "schema": "symmpow-v1",
+        "field": {"p": 7, "f": 1},
+        "generators": [[[2, 0], [0, 4]], [[6, 0], [0, 6]]],
+        "modules": [{"label": "trivial", "images": [[[1]], [[1]]]},
+                    {"label": "odd", "images": [[[2]], [[6]]]},
+                    {"label": "even", "images": [[[4]], [[1]]]}],
+    },
+    "z2_dim2": {
+        "schema": "symmpow-v1",
+        "field": {"p": 7, "f": 1},
+        "generators": [[[3, 0], [0, 3]]],
+        "modules": [{"label": "chi0", "images": [[[1]]]},
+                    {"label": "chi1", "images": [[[3]]]},
+                    {"label": "chi3", "images": [[[6]]]}],
+    },
 }
 
 # (command, inline document): (report sha256, stdout sha256, exit code)
@@ -171,6 +190,24 @@ INLINE_DIGESTS = {
     ("construct", "s3_gf4"): (
         "bc80d05bda4cd3ee9ea3520cc66ace8fa0265354c154796ceda520ad63bae57d",
         "f2aa0f2c667f95f0627acc15ce7778dcf7251250641f0b0a5162ae8ea4cc3e81", 0),
+    ("check", "c6_nc"): (
+        "2f04859a43f5be91c1655dd774c9781b22975f3020dd02d1939ea99f5be9fee2",
+        "d67dd58705a21e947f23ea61a7c185de6323d3da95af66c5c9d4031abe1128a9", 0),
+    ("scan", "c6_nc"): (
+        "6bf6e4e48ec959c8071627a209acf3edb05b1ad59fc8fd3bb59db807235e9e47",
+        "94baba0c36f9a2b580313328d0e8782b8943bb68af9dcb1d0da26b6ed7c98f31", 0),
+    ("construct", "c6_nc"): (
+        "e12bddd95b6ac18968eadc2f5b6678507953e7e1be559b11be0390d0a0734dd5",
+        "70a34d710dcc8d15d1fc25e07dcdc811fdb8da175b2126b08e3a9a119baf2d51", 0),
+    ("check", "z2_dim2"): (
+        "5222e99aaca12dfbf8602ed899316284ffe82bdf920f2f73aa645af26be2e729",
+        "5691224bbb09ded203aad7af8a4266d51171791fdabf9666a3b6083a081e5188", 0),
+    ("scan", "z2_dim2"): (
+        "b05015d7699eefd35c763ef73231c713e37b31386b105c0f66f800ea1bf2f7a5",
+        "83b016c744dc59673db99c03eb63368e575c80688a71dd53a05e47e42567a84a", 0),
+    ("construct", "z2_dim2"): (
+        "80823717e04ca75fc3b282de78991af9e374bfb38cf7ef17725f57fe73742442",
+        "5afbc01a507d6b7395907c231f4d58dcc1f4d1e5e0c7c8610bb54eed49cbb8df", 0),
 }
 
 

@@ -454,6 +454,24 @@ def test_eigen_setup_pairs_only_the_eigenvalues_of_z(monkeypatch):
     assert len(calls) < 10_000
 
 
+def test_eigen_element_reads_eigenvalues_off_one_word_walk(monkeypatch,
+                                                          load_doc):
+    # every candidate h is scored by _exponents on its image; no
+    # eigenbasis is built until occurrence_tables has chosen h
+    f61 = sp.make_field(61)
+    c60 = sp.build_group([sp.Mat(f61, [[2]])])
+    for v in (load_doc("sl2_5_gf5")[1], sp.defining_rep(c60)):
+        calls = {"_in_eigenbasis": 0, "word_images": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(sp.scan, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(sp.scan, name, spy)
+        sp.scan._eigen_element(v)
+        monkeypatch.undo()
+        assert calls == {"_in_eigenbasis": 0, "word_images": 1}
+
+
 def test_eigenbasis_solves_match_plain_solves_in_dense_bases(load_doc):
     for name in EIGEN_DOCS:
         for seed in (1, 2):
