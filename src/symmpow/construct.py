@@ -45,7 +45,7 @@ from .errors import TheoremViolation
 from .fields import FieldSpec, extend_field, field_embedding
 from .groups import GroupData, scalar_of
 from .homs import hom_dim, hom_space
-from .linalg import Mat, mat_mul, mat_vec, rank, transpose
+from .linalg import Mat, mat_mul, mat_vec, rank, ratio, transpose
 from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
                    extend_scalars, induced_from_center, poly_from_vector,
                    poly_mul, poly_one, poly_pow, restrict_scalar_character,
@@ -54,16 +54,9 @@ from .reps import (DEFAULT_DIM_CAP, Rep, check_sym_dim, defining_rep,
 _MAX_EXTENSION_SWEEP = 64
 
 
-def _ratio(field: FieldSpec, y, x):
-    """The c with y = c * x for the nonzero vector x, or None."""
-    i0 = next(i for i, c in enumerate(x) if c)
-    c = field.mul(y[i0], field.inv(x[i0]))
-    return c if all(yi == field.mul(c, xi) for yi, xi in zip(y, x)) else None
-
-
 def is_generic_vector(images, v) -> bool:
     """True when no matrix in images maps v to a scalar multiple of v."""
-    return all(_ratio(m.field, mat_vec(m, v), v) is None for m in images)
+    return all(ratio(m.field, mat_vec(m, v), v) is None for m in images)
 
 
 def find_generic_vector(group: GroupData):
@@ -188,7 +181,7 @@ def _span_action(flags: dict, v_rep: Rep, span_polys, degree: int):
         rows = [[0] * n for _ in range(n)]
         for c in range(n):
             c2 = group.coset_of[group.prod(g, group.transversal[c])]
-            rows[c2][c] = _ratio(field, moved[c], span.rows[c2])
+            rows[c2][c] = ratio(field, moved[c], span.rows[c2])
             _require(flags, "coset_permutation", rows[c2][c])
         gens.append(Mat._new(field, rows))
     return sym_rep, span, Rep(group, gens)

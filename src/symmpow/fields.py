@@ -13,7 +13,8 @@ q = 2^16 every element operation is a lookup in three O(q) tables over the
 least generator g of GF(q)*: exp, log, and the Zech logarithm Z with
 1 + g^k = g^Z(k), so that a + b = a * (1 + b/a).  Larger fields decode
 both operands to coefficient vectors on every call and invert as a^(q-2).
-Every extension subtracts as a + (-b).
+Every extension subtracts as a + (-b).  A product is reduced modulo the
+modulus as the remainder of one monic division over Z, taken mod p.
 
 Two row kernels carry the row arithmetic that ``linalg`` does not pack
 (see its docstring): ``row_sub(xs, f, ys)`` is the row xs - f*ys, and
@@ -79,24 +80,19 @@ def _square_multiply(mul, a, e: int):
     return result
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem(a, b, p):
-    """Remainder of a by b over Z_p; coefficient lists, lowest degree first."""
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while True:
-        _poly_trim(a)
-        if len(a) < len(b):
-            return a
-        c = a[-1] * inv_lead % p
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] = (a[off + i] - c * bc) % p
+def poly_divmod(num, den):
+    """Quotient and remainder (deg den entries) of num, at least as long, by
+    the monic den over Z, coefficient lists with the constant term first;
+    taken mod p, they are the quotient and remainder over Z_p."""
+    num = list(num)
+    dn = len(den) - 1
+    quot = [0] * (len(num) - dn)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = num[k + dn]
+        if c:
+            for i, d in enumerate(den):
+                num[k + i] -= c * d
+    return quot, num[:dn]
 
 
 def _poly_is_irreducible(mod, p: int) -> bool:
@@ -107,7 +103,7 @@ def _poly_is_irreducible(mod, p: int) -> bool:
     for d in range(1, f // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             divisor = list(tail) + [1]
-            if not _poly_rem(mod, divisor, p):
+            if not any(r % p for r in poly_divmod(mod, divisor)[1]):
                 return False
     return True
 
@@ -252,15 +248,9 @@ class FieldSpec:
         for i, x in enumerate(ca):
             if x:
                 for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce t^d for d >= f using t^f = -mod[:f]
-        for d in range(2 * f - 2, f - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(f):
-                    prod[d - f + i] = (prod[d - f + i] - c * mod[i]) % p
-        return self._raw_encode(prod[:f])
+                    prod[i + j] += x * y
+        # reduced modulo the modulus: the remainder of one monic division
+        return self._raw_encode([c % p for c in poly_divmod(prod, mod)[1]])
 
     def _setup_extension(self):
         p, q = self.p, self.q

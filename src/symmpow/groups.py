@@ -132,14 +132,7 @@ def enumerate_group(generators, cap: int = DEFAULT_GROUP_CAP) -> GroupData:
 def scalar_of(m: Mat):
     """The scalar c when m = c * I, else None."""
     c = m.rows[0][0]
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if i == j:
-                if x != c:
-                    return None
-            elif x:
-                return None
-    return c
+    return c if m == identity(m.field, m.nrows, c) else None
 
 
 def center_scalars(group: GroupData):
@@ -151,12 +144,11 @@ def center_scalars(group: GroupData):
     maximal order, order |Z|: the distinguished generator is the first of
     them by element index, and lam is its scalar.
     """
-    z_indices = [idx for idx, m in enumerate(group.elements)
-                 if scalar_of(m) is not None]
-    for idx in z_indices:
-        lam = group.elements[idx].rows[0][0]
-        if mult_order(group.field, lam) == len(z_indices):
-            return z_indices, idx, lam
+    scalars = {idx: c for idx, c in enumerate(map(scalar_of, group.elements))
+               if c is not None}
+    for idx, lam in scalars.items():
+        if mult_order(group.field, lam) == len(scalars):
+            return list(scalars), idx, lam
     raise ArithmeticError("scalar subgroup is not cyclic of its size")
 
 

@@ -174,9 +174,16 @@ class Mat:
         return tuple(x for row in self.rows for x in row)
 
 
-def identity(field: FieldSpec, n: int) -> Mat:
-    return Mat._new(field, [[1 if i == j else 0 for j in range(n)]
+def identity(field: FieldSpec, n: int, c: int = 1) -> Mat:
+    return Mat._new(field, [[c if i == j else 0 for j in range(n)]
                             for i in range(n)])
+
+
+def ratio(field: FieldSpec, y, x):
+    """The c with y = c * x for the nonzero vector x, or None."""
+    i0 = next(i for i, c in enumerate(x) if c)
+    c = field.mul(y[i0], field.inv(x[i0]))
+    return c if all(yi == field.mul(c, xi) for yi, xi in zip(y, x)) else None
 
 
 def transpose(a: Mat) -> Mat:

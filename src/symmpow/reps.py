@@ -221,14 +221,6 @@ def paired_rep(group: GroupData, gen_images) -> Rep:
     return Rep(group, gen_images)
 
 
-def _linear_forms(m: Mat):
-    """Columns of m as linear forms (g . x_i is column i)."""
-    n = m.nrows
-    basis1 = monomial_basis(n, 1)
-    return [PolyVec(m.field, basis1, [m.rows[r][i] for r in range(n)])
-            for i in range(n)]
-
-
 def _sym_image(m: Mat, basis: MonomialBasis, prev: Mat = None) -> Mat:
     """The image of m on Sym^d, d = basis.m, built directly or, when
     given, from prev, the image of m on Sym^(d-1)."""
@@ -236,7 +228,7 @@ def _sym_image(m: Mat, basis: MonomialBasis, prev: Mat = None) -> Mat:
         return _sym_image_from(m, basis, prev)
     field = m.field
     n = basis.n
-    forms = _linear_forms(m)
+    forms = [poly_from_vector(field, col) for col in zip(*m.rows)]
     # powers of each transformed variable, grown on demand
     pows = [[poly_one(field, n), forms[i]] for i in range(n)]
 
@@ -246,7 +238,6 @@ def _sym_image(m: Mat, basis: MonomialBasis, prev: Mat = None) -> Mat:
             lst.append(poly_mul(lst[-1], forms[i]))
         return lst[k]
 
-    dim = len(basis)
     cols = []
     for alpha in basis.exponents:
         poly = None
@@ -257,8 +248,7 @@ def _sym_image(m: Mat, basis: MonomialBasis, prev: Mat = None) -> Mat:
         if poly is None:
             poly = poly_one(field, n)
         cols.append(poly.coeffs)
-    rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    return Mat._new(field, rows)
+    return Mat._new(field, [list(r) for r in zip(*cols)])
 
 
 def _parents(basis: MonomialBasis):

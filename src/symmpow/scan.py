@@ -16,9 +16,9 @@ command does, in Sym^m of their group's defining module V; a certified
 degree beyond the scan is built by sym_power, once per document.
 
 The Molien oracle recomputes the same multiplicities, valid when the
-characteristic does not divide the group order.  Of the scan's code it
-shares field arithmetic and _exponents, which there only picks h, and h
-changes no hom dimension.  Eigenvalues of each element are identified as
+characteristic does not divide |G|.  Of the scan's code it shares field
+arithmetic, monic division included, and _exponents, which there only
+picks h, and h changes no hom dimension.  Eigenvalues are identified as
 powers of one fixed root of unity omega of order L (the lcm of element
 orders) in GF(q^e), and lifted formally to monomials x^t of the ring
 Z[x]/(x^L - 1).  The complete homogeneous sums h_m of one element's lifted
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .construct import Certificate, assemble
 from .errors import ParseError, TheoremViolation
-from .fields import extend_field, root_of_unity
+from .fields import extend_field, poly_divmod, root_of_unity
 from .groups import conjugacy_classes
 from .homs import hom_dim
 from .linalg import Mat, mat_inv, mat_mul, null_space, rank, transpose
@@ -74,9 +74,15 @@ def _shifted(m: Mat, x) -> list:
 
 def _exponents(m: Mat, omega, d: int) -> list:
     """The s < d with omega^s an eigenvalue of m, in increasing order,
-    each as often as its eigenspace's dimension, n - rank(m - omega^s I)."""
-    return [s for s in range(d) for _ in range(m.nrows - rank(Mat._new(
-        m.field, _shifted(m, m.field.pow(omega, s)))))]
+    each as often as its eigenspace's dimension, n - rank(m - omega^s I),
+    none sought once those found fill n: eigenspaces are independent."""
+    out = []
+    for s in range(d):
+        if len(out) == m.nrows:
+            break
+        out += [s] * (m.nrows - rank(Mat._new(
+            m.field, _shifted(m, m.field.pow(omega, s)))))
+    return out
 
 
 def _in_eigenbasis(r: Rep, h: int, omega, d: int) -> Rep:
@@ -158,23 +164,9 @@ def _cyclotomic(L: int):
     poly = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic(d))
+            poly, rem = poly_divmod(poly, _cyclotomic(d))
             assert not any(rem), "non-exact polynomial division"
     return tuple(poly)
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder of num by the monic den, coefficient lists
-    with the constant term first."""
-    num = list(num)
-    dn = len(den) - 1
-    quot = [0] * max(len(num) - dn, 0)
-    for k in reversed(range(len(quot))):
-        c = quot[k] = num[k + dn]
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    return quot, num[:dn]
 
 
 def molien_table(v: Rep, w: Rep, m_max: int):
@@ -223,10 +215,9 @@ def molien_table(v: Rep, w: Rep, m_max: int):
     phi = _cyclotomic(L)
     out = []
     for total in totals:
-        _, rem = _poly_divmod(total, phi)
-        if any(rem[1:]):
+        c, *rest = poly_divmod(total, phi)[1]  # deg phi >= 1 entries
+        if any(rest):
             raise TheoremViolation("character pairing is not rational")
-        c = rem[0] if rem else 0
         if c % order:
             raise TheoremViolation("character pairing not divisible by |G|")
         mult = c // order

@@ -7,7 +7,7 @@ tests.
 
 from functools import reduce
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from symmpow.errors import TheoremViolation
 from symmpow.fields import _prime_factors
@@ -15,7 +15,6 @@ from symmpow.linalg import Mat, mat_mul, mat_vec, null_space, rank, rref
 from symmpow.reps import (PolyVec, Rep, defining_rep, extend_scalars,
                           monomial_basis, poly_from_vector, poly_mul,
                           poly_one, poly_pow, sym_power, word_images)
-from symmpow.scan import _cyclotomic, _poly_divmod
 
 
 def element_images(r: Rep) -> list:
@@ -281,12 +280,55 @@ def null_space_by_entries(a: Mat) -> list:
     return basis
 
 
+def _moebius(n: int) -> int:
+    """mu(n) by trial division."""
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+def ramanujan_sum(k: int, L: int) -> int:
+    """c_L(k) = sum over d | gcd(k, L) of mu(L/d) d: the sum of zeta^k over
+    the primitive L-th roots of unity zeta, the trace of zeta_L^k from
+    Q(zeta_L) to Q; c_L(0) = phi(L)."""
+    g = gcd(k, L)
+    return sum(_moebius(L // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def integer_at_zeta(total, L: int) -> int:
+    """The value S(zeta_L) of S = sum_k total[k] x^k in Z[x]/(x^L - 1),
+    read through traces alone; raises unless it is rational, and so an
+    integer.
+
+    S(zeta_L) is the rational c iff Tr((S - c) zeta_L^j) = 0 for every
+    j < phi(L): those powers are a basis of Q(zeta_L), on which the trace
+    form is nondegenerate.  Then c = Tr(S) / phi(L), so the test is
+    phi(L) Tr(S zeta_L^j) = Tr(S) c_L(j), with Tr(zeta_L^k) = c_L(k).
+    """
+    traces = [ramanujan_sum(k, L) for k in range(L)]
+    phi = traces[0]
+    tr = [sum(s * traces[(k + j) % L] for k, s in enumerate(total))
+          for j in range(phi)]
+    if any(phi * t != tr[0] * traces[j] for j, t in enumerate(tr)):
+        raise TheoremViolation("character pairing is not rational")
+    return tr[0] // phi  # a rational algebraic integer is an integer
+
+
 def molien_by_elements(v: Rep, w: Rep, m_max: int):
     """Multiplicities of w in Sym^m(v) for m = 0..m_max, exact integers.
 
     The Molien pairing summed element by element, each element's image
     replayed over the root-of-unity extension; ``molien_table`` sums one
-    term per conjugacy class instead.
+    term per conjugacy class instead.  The sum S = sum_k S_k x^k in
+    Z[x]/(x^L - 1) has the integer value S(zeta_L), which
+    ``integer_at_zeta`` reads through traces and checks for rationality;
+    ``molien_table`` reduces S modulo the cyclotomic polynomial instead.
     """
     if v.group is not w.group:
         raise ValueError("modules must share a group")
@@ -344,13 +386,9 @@ def molien_by_elements(v: Rep, w: Rep, m_max: int):
             for m, hm in enumerate(h):
                 totals[m] = [a + b for a, b in
                              zip(totals[m], hm[-t:] + hm[:-t])]
-    phi = _cyclotomic(L)
     out = []
     for total in totals:
-        _, rem = _poly_divmod(total, phi)
-        if any(rem[1:]):
-            raise TheoremViolation("character pairing is not rational")
-        c = rem[0] if rem else 0
+        c = integer_at_zeta(total, L)
         if c % order:
             raise TheoremViolation("character pairing not divisible by |G|")
         mult = c // order
@@ -358,3 +396,35 @@ def molien_by_elements(v: Rep, w: Rep, m_max: int):
             raise TheoremViolation("negative multiplicity from the oracle")
         out.append(mult)
     return out
+
+
+# Loops that the library's shared routines replaced: a remainder over
+# Z_p, and a scalar matrix read entry by entry.
+
+def poly_rem_over_zp(a, b, p):
+    """Remainder of a by b over Z_p, trailing zeros trimmed; coefficient
+    lists, lowest degree first."""
+    a = list(a)
+    inv_lead = pow(b[-1], p - 2, p)
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
+            return a
+        c = a[-1] * inv_lead % p
+        off = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[off + i] = (a[off + i] - c * bc) % p
+
+
+def scalar_by_entries(m: Mat):
+    """The scalar c when m = c * I, else None, entry by entry."""
+    c = m.rows[0][0]
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if i == j:
+                if x != c:
+                    return None
+            elif x:
+                return None
+    return c

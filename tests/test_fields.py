@@ -5,26 +5,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symmpow as sp
-from symmpow.fields import field_embedding, root_of_unity
+from symmpow.fields import field_embedding, poly_divmod, root_of_unity
 
-
-def naive_poly_rem(a, b, p):
-    # coefficient lists, constant term first, b monic
-    a = list(a)
-    while len([c for c in a if True]) >= len(b):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1]
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] = (a[off + i] - c * bc) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+from oracles import poly_rem_over_zp
 
 
 def naive_lex_min_irreducible(p, f):
@@ -36,7 +23,7 @@ def naive_lex_min_irreducible(p, f):
         for d in range(1, f // 2 + 1):
             for div_tail in itertools.product(range(p), repeat=d):
                 div = list(div_tail) + [1]
-                if not naive_poly_rem(cand, div, p):
+                if not poly_rem_over_zp(cand, div, p):
                     ok = False
                     break
             if not ok:
@@ -238,7 +225,7 @@ def oracle_mul(a, b, p, f, modulus):
     for i, x in enumerate(ca):
         for j, y in enumerate(cb):
             prod[i + j] = (prod[i + j] + x * y) % p
-    return oracle_code(naive_poly_rem(prod, list(modulus), p), p)
+    return oracle_code(poly_rem_over_zp(prod, list(modulus), p), p)
 
 
 def check_against_oracle(F, pairs, exponents):
@@ -292,3 +279,32 @@ def test_larger_extensions_match_the_oracle_on_samples(p, f):
     minus_a = oracle_code([(-c) % p for c in oracle_coeffs(a, p, f)], p)
     pairs += [(0, 0), (0, a), (a, 0), (a, a), (a, minus_a)]
     check_against_oracle(F, pairs, (-3, -1, 0, 1, 2, 5))
+
+
+@st.composite
+def _monic_division(draw):
+    """(p, num, den): den monic over Z, num at least deg den long."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31, 8191]))
+    coeff = st.integers(-10 ** 6, 10 ** 6)
+    den = draw(st.lists(coeff, max_size=6)) + [1]
+    num = draw(st.lists(coeff, min_size=len(den) - 1, max_size=16))
+    return p, num, den
+
+
+@settings(deadline=None, max_examples=300)
+@given(_monic_division())
+def test_monic_division_over_z_reduces_to_the_remainder_over_zp(case):
+    p, num, den = case
+    quot, rem = poly_divmod(num, den)
+    assert len(rem) == len(den) - 1
+    back = rem + [0] * (len(num) - len(rem))  # quot * den + rem
+    for i, a in enumerate(quot):
+        for j, b in enumerate(den):
+            back[i + j] += a * b
+    assert back == num
+    trimmed = [r % p for r in rem]
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert trimmed == poly_rem_over_zp([c % p for c in num],
+                                       [c % p for c in den], p)
+

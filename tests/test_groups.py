@@ -7,8 +7,10 @@ from collections import Counter
 import pytest
 
 import symmpow as sp
-from symmpow.groups import conjugacy_classes
+from symmpow.groups import conjugacy_classes, scalar_of
 from symmpow.linalg import identity, mat_inv, mat_mul
+
+from oracles import scalar_by_entries
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -186,3 +188,26 @@ def test_inverse_table_matches_matrix_inverses(load_doc):
         group, _, _ = load_doc(name)
         assert group.inverse == [group.index[mat_inv(g).key()]
                                  for g in group.elements], name
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (3, 2)])
+def test_scalar_of_matches_the_entry_loop(p, f):
+    # c I for every c, 0 included; a diagonal with one entry off c; c I
+    # with one off-diagonal entry, above or below the diagonal
+    field = sp.make_field(p, f)
+    for n in (1, 2, 3):
+        for c in range(field.q):
+            cases = [[[c if i == j else 0 for j in range(n)]
+                      for i in range(n)]]
+            if n > 1:
+                d = field.add(c, 1)
+                cases.append([[(d if i == n - 1 else c) if i == j else 0
+                               for j in range(n)] for i in range(n)])
+                for i, j in ((0, n - 1), (n - 1, 0)):
+                    rows = [list(r) for r in cases[0]]
+                    rows[i][j] = 1
+                    cases.append(rows)
+            for rows in cases:
+                m = sp.Mat(field, rows)
+                assert scalar_of(m) == scalar_by_entries(m), rows
+            assert scalar_of(sp.Mat(field, cases[0])) == c

@@ -7,7 +7,7 @@ import pytest
 import symmpow as sp
 from symmpow import linalg
 from symmpow.linalg import (identity, mat_inv, mat_mul, mat_vec, null_space,
-                            rank, rref, transpose)
+                            rank, ratio, rref, transpose)
 
 from oracles import mat_mul_by_entries, null_space_by_entries, rref_by_entries
 
@@ -182,3 +182,21 @@ def test_table_row_kernels_match_the_per_entry_oracles(p, f):
         reduced, rk, pivots = rref(a)
         assert (reduced.rows, rk, list(pivots)) == rref_by_entries(a)
         assert null_space(a) == null_space_by_entries(a)
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (2, 17)])
+def test_ratio_reads_the_scalar_of_a_proportional_vector(p, f):
+    # c = 0, 1, q - 1 and a random c, on x with two leading zeros; y moved
+    # off x's line at x's first nonzero entry, its last, or a zero of x
+    # gets None
+    field = sp.make_field(p, f)
+    rng = random.Random(field.q)
+    for _ in range(20):
+        x = [0, 0] + [rng.randrange(1, field.q) for _ in range(4)]
+        for c in [0, 1, field.q - 1, rng.randrange(field.q)]:
+            y = [field.mul(c, xi) for xi in x]
+            assert ratio(field, y, x) == c
+            for i in (2, 5, 0):
+                off = list(y)
+                off[i] = field.add(off[i], 1)
+                assert ratio(field, off, x) is None

@@ -15,7 +15,10 @@ a group field with no generic vector, so that the certificate lands over
 a proper extension of a non-prime field (``s3_gf4``); and two orbit
 products C = lam^(N z (z - 1)/2) B^z that the corpus does not reach, a
 non-central group with N = 3 and z = 2, so a factor of -1 (``c6_nc``),
-and a central group in dimension 2 (``z2_dim2``).  A refactor that is
+and a central group in dimension 2 (``z2_dim2``).  A fifth, C_19 in
+GL(3, 7) (``c19_gf7``), has a module of splitting degree 3, so its
+certificate lies over GF(343), the one field in the exp/log/Zech regime
+(257 to 2^16 elements) that a pinned report reaches.  A refactor that is
 meant to leave every answer alone must leave these digests alone.  After
 a deliberate change of output, print the new table with
 
@@ -168,6 +171,16 @@ INLINE_DOCS = {
                     {"label": "chi1", "images": [[[3]]]},
                     {"label": "chi3", "images": [[[6]]]}],
     },
+    "c19_gf7": {
+        "schema": "symmpow-v1",
+        "field": {"p": 7, "f": 1},
+        "generators": [[[0, 0, 1], [1, 0, 0], [0, 1, 2]]],
+        "modules": [
+            {"label": "defining", "images": [[[0, 0, 1], [1, 0, 0],
+                                              [0, 1, 2]]]},
+            {"label": "trivial", "images": [[[1]]]}],
+        "options": {"k_max": 0},
+    },
 }
 
 # (command, inline document): (report sha256, stdout sha256, exit code)
@@ -208,6 +221,15 @@ INLINE_DIGESTS = {
     ("construct", "z2_dim2"): (
         "80823717e04ca75fc3b282de78991af9e374bfb38cf7ef17725f57fe73742442",
         "5afbc01a507d6b7395907c231f4d58dcc1f4d1e5e0c7c8610bb54eed49cbb8df", 0),
+    ("check", "c19_gf7"): (
+        "c30f4e357997b0f0cae98c38eaf664607321988777a5a97bda2d9003b4036590",
+        "44d5ce6b356ba41b8cfc024b0578b95ff50789240b62104cef85c40a1607fa77", 0),
+    ("scan", "c19_gf7"): (
+        "e9e688af60c3fb4137053e9326fd695aa473ee90dc6f2197e8d3aa0b1849f9ab",
+        "dbe90bea8edca15fe00bcf964f7d614648cae12e0fafa53e3eda1c01b00b5529", 0),
+    ("construct", "c19_gf7"): (
+        "bd1a4b05458dcde788c1d1cb71625b9f78f27ce3b76a91b0e9bf3693c498eebd",
+        "c993d66e8edcf3c0956293ef7588194373412d9011bbbeec1edea28b60a14c77", 0),
 }
 
 

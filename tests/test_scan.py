@@ -3,16 +3,20 @@ verification driver."""
 
 import json
 import pathlib
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symmpow as sp
 import symmpow.cli as cli
 from symmpow.cli import _build_group, parse_problem
+from symmpow.fields import poly_divmod
 from symmpow.linalg import rank
+from symmpow.scan import _cyclotomic
 
-from oracles import hom_dim_by_enumeration, molien_by_elements
+from oracles import (hom_dim_by_enumeration, integer_at_zeta,
+                     molien_by_elements)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -363,6 +367,50 @@ def test_molien_by_classes_matches_the_element_sum(load_doc):
         for label, w in modules:
             assert sp.molien_table(v, w, 10) == molien_by_elements(
                 v, w, 10), (path.stem, label)
+
+
+@pytest.mark.parametrize("total, L, value", [
+    ([5], 1, 5), ([1, 1, 1], 3, 0), ([0, 1, 1], 3, -1),
+    ([0, 0, 3, 0], 4, -3), ([0, 1, 0, 1], 4, 0), ([2, 0, 0, 0, 0, 0], 6, 2),
+    ([0, 2, 0], 3, None), ([0, 1, 0, 0], 4, None), ([1, 1, 0, 0, 0], 5, None),
+])
+def test_integer_at_zeta_reads_a_rational_value_or_raises(total, L, value):
+    if value is None:  # 2 zeta_3, zeta_4 and 1 + zeta_5 are irrational
+        with pytest.raises(sp.TheoremViolation, match="not rational"):
+            integer_at_zeta(total, L)
+    else:
+        assert integer_at_zeta(total, L) == value
+
+
+@st.composite
+def _cyclotomic_sums(draw):
+    """(S, L): S in Z[x]/(x^L - 1), half of them Galois-invariant (S_k a
+    function of gcd(k, L), so S(zeta_L) is rational) plus a multiple of
+    Phi_L of degree below L."""
+    L = draw(st.integers(1, 30))
+    coeff = st.integers(-50, 50)
+    if not draw(st.booleans()):
+        return draw(st.lists(coeff, min_size=L, max_size=L)), L
+    by_gcd = draw(st.lists(coeff, min_size=L + 1, max_size=L + 1))
+    total = [by_gcd[gcd(k, L)] for k in range(L)]
+    phi = _cyclotomic(L)
+    for i, a in enumerate(draw(st.lists(coeff, max_size=L - len(phi) + 1))):
+        for j, b in enumerate(phi):
+            total[i + j] += a * b
+    return total, L
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cyclotomic_sums())
+def test_integer_at_zeta_matches_the_cyclotomic_remainder(case):
+    # the oracle's trace test against molien_table's reduction mod Phi_L
+    total, L = case
+    c, *rest = poly_divmod(total, _cyclotomic(L))[1]
+    if any(rest):
+        with pytest.raises(sp.TheoremViolation, match="not rational"):
+            integer_at_zeta(total, L)
+    else:
+        assert integer_at_zeta(total, L) == c
 
 
 def test_molien_by_classes_over_an_extension(load_doc):
